@@ -8,6 +8,11 @@
 // which prints the graph's shape — size, degree distribution, hop
 // diameter — without rendering it.
 //
+// The run is described by the scenario flags of scenario.NewFlags — the
+// same set amrun takes, minus -trials — over amdot's own default Spec, so
+// any run amrun can make (-tiebreak adversarial -attack fork: Theorem
+// 5.3's sibling forks) can be drawn.
+//
 // Examples:
 //
 //	amdot -protocol chain -n 8 -t 3 -lambda 0.5 -k 15 -attack fork | dot -Tsvg > run.svg
@@ -22,54 +27,44 @@ import (
 	"math/bits"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/dotviz"
 	"repro/internal/scenario"
 	"repro/internal/topology"
 )
 
+// defaults is the spec a bare amdot invocation draws.
+var defaults = scenario.Spec{
+	Protocol: scenario.Dag, N: 8, T: 2, Lambda: 0.5, K: 15,
+	Attack: scenario.AttackSilent, Seed: 1,
+}
+
 func main() {
+	// One run is drawn, so there is no trial count to set.
+	specFlags := scenario.NewFlags(flag.CommandLine, defaults, "trials")
 	var (
-		protocol   = flag.String("protocol", "dag", "chain | dag")
-		n          = flag.Int("n", 8, "total nodes")
-		t          = flag.Int("t", 2, "Byzantine nodes")
-		lambda     = flag.Float64("lambda", 0.5, "token rate per node per Δ")
-		k          = flag.Int("k", 15, "decision threshold")
-		attack     = flag.String("attack", "silent", "Byzantine strategy (see amrun -h)")
-		seed       = flag.Uint64("seed", 1, "seed")
-		topo       = flag.String("topology", "", "emit this network topology as DOT instead of a run: "+scenario.Topologies.Help())
-		topoParams = flag.String("topology-params", "", "topology generator parameters as k=v,k=v (e.g. k=2,beta=0.3)")
-		linkDelay  = flag.Float64("link-delay", 0, "base per-link latency in Δ (0 = default 0.5)")
-		stats      = flag.Bool("stats", false, "with -topology: print graph statistics instead of DOT")
-		dotMax     = flag.Int("dot-max-nodes", 1024, "refuse DOT output for topologies above this many nodes")
+		stats  = flag.Bool("stats", false, "with -topology: print graph statistics instead of DOT")
+		dotMax = flag.Int("dot-max-nodes", 1024, "refuse DOT output for topologies above this many nodes")
 	)
 	flag.Parse()
+	spec, err := specFlags.Apply(defaults)
+	if err != nil {
+		fatal(err)
+	}
 
-	if *topo != "" {
-		if _, ok := scenario.Topologies.Lookup(*topo); !ok {
-			fatal(fmt.Errorf("unknown topology %q (have %s)", *topo, scenario.Topologies.Help()))
-		}
-		params, err := scenario.ParseTopologyParams(*topoParams)
+	if spec.Topology != "" {
+		g, err := scenario.BuildTopology(spec)
 		if err != nil {
 			fatal(err)
 		}
-		g, err := scenario.BuildTopology(scenario.Spec{
-			N: *n, Seed: *seed,
-			Topology:       scenario.Topology(*topo),
-			TopologyParams: params,
-			LinkDelay:      *linkDelay,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		name := string(spec.Topology)
 		if *stats {
-			printTopologyStats(g, *topo)
+			printTopologyStats(g, name)
 			return
 		}
 		if g.N() > *dotMax {
 			fatal(fmt.Errorf("topology has %d nodes, above the %d-node DOT limit — a Graphviz layout at this scale is unusable; use -stats for a structural summary (or raise -dot-max-nodes)", g.N(), *dotMax))
 		}
-		fmt.Print(dotviz.Topology(g, *topo))
+		fmt.Print(dotviz.Topology(g, name))
 		return
 	}
 
@@ -77,20 +72,20 @@ func main() {
 		fatal(fmt.Errorf("-stats requires -topology"))
 	}
 
-	if *protocol != "chain" && *protocol != "dag" {
+	if spec.Protocol != scenario.Chain && spec.Protocol != scenario.Dag {
 		fatal(fmt.Errorf("-protocol must be chain or dag"))
 	}
 
-	r, err := core.Run(core.Config{
-		Protocol: core.Protocol(*protocol),
-		N:        *n, T: *t, Lambda: *lambda, K: *k,
-		Attack: core.Attack(*attack), Seed: *seed,
-	})
+	b, err := scenario.Bind(spec)
 	if err != nil {
 		fatal(err)
 	}
-	opts := dotviz.Options{IsByzantine: r.Roster.IsByzantine, K: *k}
-	if *protocol == "chain" {
+	r, err := b.Run(spec.Seed)
+	if err != nil {
+		fatal(err)
+	}
+	opts := dotviz.Options{IsByzantine: r.Roster.IsByzantine, K: spec.K}
+	if spec.Protocol == scenario.Chain {
 		fmt.Print(dotviz.Chain(r.FinalView, opts))
 	} else {
 		fmt.Print(dotviz.Dag(r.FinalView, opts))

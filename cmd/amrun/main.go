@@ -4,13 +4,20 @@
 // metric name comes from the internal/scenario registries — `amrun -list`
 // enumerates them.
 //
+// The scenario flags are not declared here: scenario.NewFlags derives one
+// per scenario.Spec parameter (-stall-at sets "stall_at"), the same set
+// amsearch and amdot accept, and amrun only supplies its default Spec.
+// With -spec the file is the base and explicitly set flags override its
+// fields. The fleet flags (-distribute, -workers-addr, -cache, ...) come
+// from internal/distrib, shared with amsearch.
+//
 // Examples:
 //
 //	amrun -protocol dag -n 10 -t 4 -lambda 1 -k 41 -attack private-chain
 //	amrun -protocol chain -tiebreak random -n 10 -t 4 -lambda 1 -k 41 -attack tiebreak -trials 50
 //	amrun -protocol sync -n 8 -t 3 -rounds 2 -inputs split:3 -attack delayed-chain
 //	amrun -protocol dag -n 12 -t 4 -lambda 0.5 -k 41 -trials 20 -sweep attack=silent,private-chain,private-fork -metrics ok,byz-prefix-share
-//	amrun -spec examples/scenarios/rates_private_chain.json
+//	amrun -spec examples/scenarios/hashpower-ghost.json
 //	amrun -list
 package main
 
@@ -45,42 +52,21 @@ func (s *sweepFlags) Set(v string) error {
 	return nil
 }
 
+// defaults is the spec a bare amrun invocation runs.
+var defaults = scenario.Spec{
+	Protocol: scenario.Dag, N: 10, Lambda: 0.5, Delta: 1, K: 21,
+	TieBreak: scenario.TieRandom, Pivot: scenario.PivotGhost, Attack: scenario.AttackSilent,
+	Inputs: "same", Seed: 1, Trials: 1,
+}
+
 func main() {
+	specFlags := scenario.NewFlags(flag.CommandLine, defaults)
+	fleet := distrib.FleetFlags(flag.CommandLine)
 	var sweeps sweepFlags
 	var (
-		protocol  = flag.String("protocol", "dag", scenario.Protocols.Help())
-		n         = flag.Int("n", 10, "total nodes")
-		t         = flag.Int("t", 0, "Byzantine nodes (the last t ids)")
-		lambda    = flag.Float64("lambda", 0.5, "token rate per node per Δ (randomized protocols)")
-		delta     = flag.Float64("delta", 1.0, "synchrony bound Δ")
-		k         = flag.Int("k", 21, "decision threshold (randomized protocols)")
-		rounds    = flag.Int("rounds", 0, "rounds for sync protocol (0 = t+1)")
-		tiebreak  = flag.String("tiebreak", "random", "chain tie-breaking: "+scenario.TieBreaks.Help())
-		pivot     = flag.String("pivot", "ghost", "dag pivot rule: "+scenario.Pivots.Help())
-		attack    = flag.String("attack", "silent", scenario.Attacks.Help())
-		attackPar = flag.String("attack-params", "", "attack template parameter overrides as name=value,name=value (see -list for each attack's schema)")
-		confirm   = flag.Int("confirm", 0, "chain/dag confirmation depth")
-		margin    = flag.Int("margin", 0, "last-minute attack burst margin (0 = default 6)")
-		crashes   = flag.Int("crashes", 0, "crash-faulty correct nodes")
-		inputs    = flag.String("inputs", "same", `inputs: same | same:-1 | split:<ones> | random`)
-		seed      = flag.Uint64("seed", 1, "base seed")
-		trials    = flag.Int("trials", 1, "number of runs (seeds seed..seed+trials-1)")
-		fresh     = flag.Bool("fresh-reads", false, "ablation: honest nodes read at grant time (no Δ staleness)")
-		access    = flag.String("access", "", "token authority: "+scenario.AccessModels.Help()+" (default poisson)")
-		topo      = flag.String("topology", "", "network topology: "+scenario.Topologies.Help()+" (default complete)")
-		topoPar   = flag.String("topology-params", "", "topology generator parameters as k=v,k=v (e.g. k=2,beta=0.3)")
-		linkDel   = flag.Float64("link-delay", 0, "base per-link latency in Δ (0 = default 0.5)")
-		linkJit   = flag.Float64("link-jitter", 0, "per-link delay spread fraction in [0,1) (0 = model default)")
-		delayD    = flag.String("delay-dist", "", "per-link delay distribution: "+strings.Join(topology.DelayKinds(), " | ")+" (default fixed)")
-		rr        = flag.Bool("round-robin", false, "ablation: burst-free round-robin token authority (same as -access round-robin)")
-		stallAt   = flag.Int("stall-at", 0, "inject async blackout once memory reaches this size (0 = off)")
-		stallFor  = flag.Float64("stall-for", 0, "blackout duration in Δ (0 = default 8)")
-		adm       = flag.Float64("async-delay-max", 0, "honest token-to-append delay bound in Δ (0 = off)")
-		window    = flag.Int("window", 0, "bounded-memory horizon: retire message prefixes older than this many ids below every reachability floor (0 = unbounded)")
-		checkpt   = flag.Bool("checkpoint", false, "snapshot each trial at first decision and reuse the prefix across confirm-sweep points")
-		verbose   = flag.Bool("v", false, "print per-node decisions")
-		traceN    = flag.Int("trace", 0, "print the last N trace events of the run")
-		timing    = flag.Bool("timing", false, "report sweep wall clock and checkpoint prefix reuse on stderr")
+		verbose = flag.Bool("v", false, "print per-node decisions")
+		traceN  = flag.Int("trace", 0, "print the last N trace events of the run")
+		timing  = flag.Bool("timing", false, "report sweep wall clock and checkpoint prefix reuse on stderr")
 
 		list     = flag.Bool("list", false, "enumerate the registries (protocols, tie-breaks, pivots, attacks, access models, metrics, sweep axes) and exit")
 		specPath = flag.String("spec", "", "run a JSON scenario spec (explicitly-set flags override its fields)")
@@ -88,21 +74,12 @@ func main() {
 		format   = flag.String("format", "text", "sweep output format: text | md | json | csv")
 		out      = flag.String("o", "", "write sweep output to file instead of stdout")
 		workers  = flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS)")
-
-		distribute = flag.Int("distribute", 0, "spawn this many local worker processes and shard sweep trials across them")
-		workersAdr = flag.String("workers-addr", "", "comma-separated amworker TCP addresses to shard sweep trials across")
-		cacheDir   = flag.String("cache", "", "content-addressed lease result cache directory (distributed sweeps)")
-		leaseTO    = flag.Duration("lease-timeout", 0, "per-lease worker timeout before reassignment (0 = 2m)")
-		chunkSize  = flag.Int("chunk", 0, "trials per distributed lease (0 = adaptive sizing, or 16 with -cache; shapes cache keys)")
-		amworker   = flag.Bool("amworker", false, "internal: serve leases over stdio (what -distribute spawns)")
 	)
 	flag.Var(&sweeps, "sweep", "sweep axis as axis=v1,v2,... (repeatable; see -list for axes)")
 	flag.Parse()
 
-	// Worker mode: the re-exec'd child of a -distribute run. Serve leases
-	// over stdin/stdout until the coordinator hangs up.
-	if *amworker {
-		if err := distrib.ServeStdio(); err != nil {
+	if served, err := fleet.ServeIfWorker(); served {
+		if err != nil {
 			fatal(err)
 		}
 		return
@@ -114,63 +91,16 @@ func main() {
 		return
 	}
 
-	// Fail fast on misspelled registry names: the error enumerates what
-	// exists instead of surfacing later from a half-built spec.
-	if *access != "" {
-		if _, ok := scenario.AccessModels.Lookup(*access); !ok {
-			fatal(fmt.Errorf("unknown access model %q (have %s)", *access, scenario.AccessModels.Help()))
-		}
-	}
-	if *topo != "" {
-		if _, ok := scenario.Topologies.Lookup(*topo); !ok {
-			fatal(fmt.Errorf("unknown topology %q (have %s)", *topo, scenario.Topologies.Help()))
-		}
-	}
-	topoParams, err := scenario.ParseTopologyParams(*topoPar)
-	if err != nil {
-		fatal(err)
-	}
-	attackParams, err := scenario.ParseAttackParams(*attackPar)
-	if err != nil {
-		fatal(err)
-	}
-
-	spec := scenario.Spec{
-		Protocol: scenario.Protocol(*protocol),
-		N:        *n, T: *t, Crashes: *crashes,
-		Lambda: *lambda, Delta: *delta, K: *k, Rounds: *rounds,
-		TieBreak:     scenario.TieBreak(*tiebreak),
-		Pivot:        scenario.Pivot(*pivot),
-		Attack:       scenario.Attack(*attack),
-		AttackParams: attackParams,
-		Confirm:      *confirm, Margin: *margin,
-		Inputs: *inputs, Seed: *seed, Trials: *trials,
-		FreshReads:     *fresh,
-		Access:         scenario.Access(*access),
-		Topology:       scenario.Topology(*topo),
-		TopologyParams: topoParams,
-		LinkDelay:      *linkDel, LinkJitter: *linkJit, DelayDist: *delayD,
-		StallAtSize: *stallAt, StallFor: *stallFor,
-		AsyncDelayMax: *adm,
-		Window:        *window, Checkpoint: *checkpt,
-	}
-	if *rr {
-		spec.Access = scenario.AccessRoundRobin
-	}
-
+	base := defaults
 	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
+		var err error
+		if base, err = scenario.LoadSpec(*specPath); err != nil {
 			fatal(err)
 		}
-		fileSpec, err := scenario.ParseSpec(data)
-		if err != nil {
-			fatal(err)
-		}
-		// The file is authoritative; flags the user explicitly set on the
-		// command line override its fields.
-		overrideSpec(&fileSpec, spec)
-		spec = fileSpec
+	}
+	spec, err := specFlags.Apply(base)
+	if err != nil {
+		fatal(err)
 	}
 	spec.Sweep = append(spec.Sweep, sweeps...)
 	if *metricsF != "" {
@@ -180,14 +110,9 @@ func main() {
 	// A spec file, a sweep, an explicit metric set or a distributed flag
 	// selects table mode; bare flag runs keep the classic single-run /
 	// trials output.
-	distributed := *distribute > 0 || *workersAdr != "" || *cacheDir != ""
-	if *specPath != "" || len(spec.Sweep) > 0 || len(spec.Metrics) > 0 || distributed {
-		if distributed {
-			runDistributed(spec, distribOptions{
-				spawn: *distribute, addrs: *workersAdr,
-				cacheDir: *cacheDir, leaseTimeout: *leaseTO,
-				chunk: *chunkSize,
-			}, *format, *out, *timing)
+	if *specPath != "" || len(spec.Sweep) > 0 || len(spec.Metrics) > 0 || fleet.Enabled() {
+		if fleet.Enabled() {
+			runDistributed(spec, fleet, *format, *out, *timing)
 			return
 		}
 		runSweep(spec, *workers, *format, *out, *timing)
@@ -229,73 +154,6 @@ func attackName(s scenario.Spec) scenario.Attack {
 	return s.Attack
 }
 
-// overrideSpec copies into dst every field of the flag-built spec whose
-// flag was explicitly set on the command line.
-func overrideSpec(dst *scenario.Spec, flags scenario.Spec) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "protocol":
-			dst.Protocol = flags.Protocol
-		case "n":
-			dst.N = flags.N
-		case "t":
-			dst.T = flags.T
-		case "crashes":
-			dst.Crashes = flags.Crashes
-		case "lambda":
-			dst.Lambda = flags.Lambda
-		case "delta":
-			dst.Delta = flags.Delta
-		case "k":
-			dst.K = flags.K
-		case "rounds":
-			dst.Rounds = flags.Rounds
-		case "tiebreak":
-			dst.TieBreak = flags.TieBreak
-		case "pivot":
-			dst.Pivot = flags.Pivot
-		case "attack":
-			dst.Attack = flags.Attack
-		case "attack-params":
-			dst.AttackParams = flags.AttackParams
-		case "confirm":
-			dst.Confirm = flags.Confirm
-		case "margin":
-			dst.Margin = flags.Margin
-		case "inputs":
-			dst.Inputs = flags.Inputs
-		case "seed":
-			dst.Seed = flags.Seed
-		case "trials":
-			dst.Trials = flags.Trials
-		case "fresh-reads":
-			dst.FreshReads = flags.FreshReads
-		case "access", "round-robin":
-			dst.Access = flags.Access
-		case "topology":
-			dst.Topology = flags.Topology
-		case "topology-params":
-			dst.TopologyParams = flags.TopologyParams
-		case "link-delay":
-			dst.LinkDelay = flags.LinkDelay
-		case "link-jitter":
-			dst.LinkJitter = flags.LinkJitter
-		case "delay-dist":
-			dst.DelayDist = flags.DelayDist
-		case "stall-at":
-			dst.StallAtSize = flags.StallAtSize
-		case "stall-for":
-			dst.StallFor = flags.StallFor
-		case "async-delay-max":
-			dst.AsyncDelayMax = flags.AsyncDelayMax
-		case "window":
-			dst.Window = flags.Window
-		case "checkpoint":
-			dst.Checkpoint = flags.Checkpoint
-		}
-	})
-}
-
 // runSweep executes the spec through the scenario layer and renders the
 // point table in the requested format.
 func runSweep(spec scenario.Spec, workers int, format, out string, timing bool) {
@@ -314,66 +172,25 @@ func runSweep(spec scenario.Spec, workers int, format, out string, timing bool) 
 	renderSweep(res, format, out)
 }
 
-// distribOptions carries the distributed-execution flags.
-type distribOptions struct {
-	spawn        int    // -distribute: local worker processes to fork
-	addrs        string // -workers-addr: remote amworker TCP addresses
-	cacheDir     string // -cache: lease result cache directory
-	leaseTimeout time.Duration
-	chunk        int // -chunk: trials per lease (0 = adaptive / default)
-}
-
 // runDistributed shards the sweep's trials across worker processes via
 // internal/distrib and renders the merged result — byte-identical to the
 // same sweep run in-process at the same seed.
-func runDistributed(spec scenario.Spec, o distribOptions, format, out string, timing bool) {
-	var ws []distrib.Transport
-	if o.addrs != "" {
-		remote, err := distrib.DialWorkers(o.addrs)
-		if err != nil {
-			fatal(err)
-		}
-		ws = append(ws, remote...)
+func runDistributed(spec scenario.Spec, fleet *distrib.Fleet, format, out string, timing bool) {
+	cfg, release, err := fleet.Connect()
+	if err != nil {
+		fatal(err)
 	}
-	if o.spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			fatal(fmt.Errorf("cannot locate own binary to spawn workers: %w", err))
-		}
-		procs, err := distrib.SpawnN(o.spawn, []string{exe, "-amworker"}, nil)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range procs {
-			ws = append(ws, p)
-		}
-	}
-	defer func() {
-		for _, w := range ws {
-			w.Close()
-		}
-	}()
-
-	var cache *distrib.Cache
-	if o.cacheDir != "" {
-		var err error
-		if cache, err = distrib.NewCache(o.cacheDir, 0); err != nil {
-			fatal(err)
-		}
-	}
+	defer release()
 
 	start := time.Now()
-	res, stats, err := distrib.Run(spec, distrib.Config{
-		Workers: ws, Cache: cache, LeaseTimeout: o.leaseTimeout,
-		ChunkSize: o.chunk,
-	})
+	res, stats, err := distrib.Run(spec, cfg)
 	if err != nil {
 		fatal(err)
 	}
 	if timing {
 		fmt.Fprintf(os.Stderr,
 			"amrun: sweep %v  workers=%d leases=%d dispatched=%d cache-hits=%d inline=%d retries=%d lost=%d\n",
-			time.Since(start).Round(time.Millisecond), len(ws),
+			time.Since(start).Round(time.Millisecond), len(cfg.Workers),
 			stats.Leases, stats.Dispatched, stats.FromCache, stats.Inline, stats.Retries, stats.LostWorker)
 	}
 	renderSweep(res, format, out)

@@ -7,12 +7,19 @@
 // candidate pool, the rung decisions and the winner are reproducible
 // from the printed seed, regardless of -workers or -distribute.
 //
+// The scenario flags are scenario.NewFlags', the same set amrun takes
+// (minus -trials, which the search sets per rung), over amsearch's own
+// default Spec; with -spec the file is the base and explicitly set flags
+// override its fields. The closing "reproduce:" line renders the searched
+// spec back through the same flags, so pasting it reruns the search
+// exactly. The fleet flags come from internal/distrib, shared with amrun.
+//
 // Examples:
 //
 //	amsearch -protocol chain -n 32 -t 11 -lambda 0.5 -k 41 -tiebreak adversarial -attack fork -budget 4800 -seed 1
 //	amsearch -protocol dag -n 16 -t 5 -lambda 0.5 -k 41 -attack private-chain -objective latency
 //	amsearch -protocol chain -n 9 -t 4 -lambda 0.5 -k 41 -tiebreak adversarial -attack fork -promote examples/scenarios
-//	amsearch -replay examples/scenarios/searched_chain_disagreement.json
+//	amsearch -replay examples/scenarios/searched-chain-decided-prefix.json
 //	amsearch -list
 package main
 
@@ -31,113 +38,149 @@ import (
 	"repro/internal/search"
 )
 
+// defaults is the spec a bare amsearch invocation searches around.
+var defaults = scenario.Spec{
+	Protocol: scenario.Chain, N: 10, T: 3, Lambda: 0.5, Delta: 1, K: 21,
+	TieBreak: scenario.TieRandom, Pivot: scenario.PivotGhost, Attack: scenario.AttackFork,
+	Inputs: "same", Seed: 1,
+}
+
+// command is amsearch's command line.
+type command struct {
+	fs    *flag.FlagSet
+	spec  *scenario.Flags
+	fleet *distrib.Fleet
+
+	specPath, objective, rungs  string
+	budget, eta, workers        int
+	format, promote, replayPath string
+	list                        bool
+}
+
+func newCommand() *command {
+	c := &command{fs: flag.NewFlagSet("amsearch", flag.ExitOnError)}
+	// The search sets each candidate's trial count itself, rung by rung.
+	c.spec = scenario.NewFlags(c.fs, defaults, "trials")
+	c.fleet = distrib.FleetFlags(c.fs)
+	c.fs.StringVar(&c.specPath, "spec", "", "search around a JSON scenario spec (explicitly-set flags override its fields)")
+	c.fs.StringVar(&c.objective, "objective", string(search.Disagreement),
+		"maximized objective: "+strings.Join(search.Objectives(), " | "))
+	c.fs.IntVar(&c.budget, "budget", search.DefaultBudget, "total trial budget across all rungs (sizes the candidate pool)")
+	c.fs.StringVar(&c.rungs, "rungs", "", "successive-halving trial budgets, ascending (default 16,64,256)")
+	c.fs.IntVar(&c.eta, "eta", 0, "halving rate: each rung keeps ceil(active/eta) survivors (0 = 4)")
+	c.fs.IntVar(&c.workers, "workers", 0, "in-process trial parallelism (0 = GOMAXPROCS)")
+	c.fs.StringVar(&c.format, "format", "text", "output format: text | json")
+	c.fs.StringVar(&c.promote, "promote", "", "minimize the winner to a single-seed counterexample spec and write it here (a directory or a .json path)")
+	c.fs.StringVar(&c.replayPath, "replay", "", "replay a committed counterexample spec; exit 1 unless some trial disagrees or violates an invariant")
+	c.fs.BoolVar(&c.list, "list", false, "enumerate searchable attacks (with parameter schemas) and objectives, then exit")
+	return c
+}
+
+// config builds the search the parsed flags describe. base is the spec
+// the flags were applied to: the -spec file, or the defaults. The spec's
+// seed is also the search seed, so one seed reproduces everything:
+// candidate sampling and the trials.
+func (c *command) config() (cfg search.Config, base scenario.Spec, err error) {
+	base = defaults
+	if c.specPath != "" {
+		if base, err = scenario.LoadSpec(c.specPath); err != nil {
+			return cfg, base, err
+		}
+		base.Sweep = nil
+		base.Trials = 0
+	}
+	spec, err := c.spec.Apply(base)
+	if err != nil {
+		return cfg, base, err
+	}
+	rungs, err := parseRungs(c.rungs)
+	if err != nil {
+		return cfg, base, err
+	}
+	return search.Config{
+		Spec: spec, Objective: search.Objective(c.objective),
+		Budget: c.budget, Seed: spec.Seed, Rungs: rungs, Eta: c.eta,
+	}, base, nil
+}
+
+// reproduce renders the command line that reruns the search exactly: the
+// spec flags that differ from base, then every search option with the
+// value the search resolved it to.
+func (c *command) reproduce(cfg search.Config, base scenario.Spec, res *search.Result) string {
+	args := []string{"amsearch"}
+	if c.specPath != "" {
+		args = append(args, "-spec", c.specPath)
+	}
+	base.Seed = cfg.Spec.Seed // printed with the search options
+	args = append(args, c.spec.Args(cfg.Spec, base)...)
+	rungs := cfg.Rungs
+	if len(rungs) == 0 {
+		rungs = search.DefaultRungs()
+	}
+	rs := make([]string, len(rungs))
+	for i, r := range rungs {
+		rs[i] = strconv.Itoa(r)
+	}
+	eta := cfg.Eta
+	if eta <= 0 {
+		eta = search.DefaultEta
+	}
+	args = append(args, "-objective", string(res.Objective), "-budget", strconv.Itoa(res.Budget),
+		"-rungs", strings.Join(rs, ","), "-eta", strconv.Itoa(eta), "-seed", strconv.FormatUint(res.Seed, 10))
+	for i, a := range args {
+		args[i] = shellQuote(a)
+	}
+	return strings.Join(args, " ")
+}
+
+// shellQuote returns s as one POSIX shell word: unchanged when it is
+// non-empty and holds only characters the shell takes literally, else in
+// single quotes, so an empty value or a path with spaces survives a paste.
+func shellQuote(s string) string {
+	if s != "" && strings.Trim(s, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.,/:=+@%") == "" {
+		return s
+	}
+	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
+}
+
 func main() {
-	var (
-		protocol = flag.String("protocol", "chain", scenario.Protocols.Help())
-		n        = flag.Int("n", 10, "total nodes")
-		t        = flag.Int("t", 3, "Byzantine nodes (the last t ids)")
-		lambda   = flag.Float64("lambda", 0.5, "token rate per node per Δ")
-		delta    = flag.Float64("delta", 1.0, "synchrony bound Δ")
-		k        = flag.Int("k", 21, "decision threshold")
-		tiebreak = flag.String("tiebreak", "random", "chain tie-breaking: "+scenario.TieBreaks.Help())
-		pivot    = flag.String("pivot", "ghost", "dag pivot rule: "+scenario.Pivots.Help())
-		attack   = flag.String("attack", "fork", "searched attack template: "+strings.Join(scenario.ParameterizedAttacks(), " | "))
-		confirm  = flag.Int("confirm", 0, "chain/dag confirmation depth")
-		inputs   = flag.String("inputs", "same", `inputs: same | same:-1 | split:<ones> | random`)
-		specPath = flag.String("spec", "", "search around a JSON scenario spec instead of the flags above")
+	c := newCommand()
+	c.fs.Parse(os.Args[1:])
 
-		objective = flag.String("objective", string(search.Disagreement),
-			"maximized objective: "+strings.Join(search.Objectives(), " | "))
-		budget  = flag.Int("budget", search.DefaultBudget, "total trial budget across all rungs (sizes the candidate pool)")
-		seed    = flag.Uint64("seed", 1, "search seed: candidate sampling AND trial base seed (same seed = same trajectory)")
-		rungsF  = flag.String("rungs", "", "successive-halving trial budgets, ascending (default 16,64,256)")
-		eta     = flag.Int("eta", 0, "halving rate: each rung keeps ceil(active/eta) survivors (0 = 4)")
-		workers = flag.Int("workers", 0, "in-process trial parallelism (0 = GOMAXPROCS)")
-
-		format  = flag.String("format", "text", "output format: text | json")
-		promote = flag.String("promote", "", "minimize the winner to a single-seed counterexample spec and write it here (a directory or a .json path)")
-		replayF = flag.String("replay", "", "replay a committed counterexample spec; exit 1 unless some trial disagrees or violates an invariant")
-		list    = flag.Bool("list", false, "enumerate searchable attacks (with parameter schemas) and objectives, then exit")
-
-		distribute = flag.Int("distribute", 0, "spawn this many local worker processes and shard evaluation trials across them")
-		workersAdr = flag.String("workers-addr", "", "comma-separated amworker TCP addresses to shard evaluation trials across")
-		cacheDir   = flag.String("cache", "", "content-addressed lease result cache directory (rung escalations re-serve lower-rung chunks)")
-		leaseTO    = flag.Duration("lease-timeout", 0, "per-lease worker timeout before reassignment (0 = 2m)")
-		chunkSize  = flag.Int("chunk", 0, "trials per distributed lease (0 = adaptive sizing, or 16 with -cache; shapes cache keys)")
-		amworker   = flag.Bool("amworker", false, "internal: serve leases over stdio (what -distribute spawns)")
-	)
-	flag.Parse()
-
-	if *amworker {
-		if err := distrib.ServeStdio(); err != nil {
+	if served, err := c.fleet.ServeIfWorker(); served {
+		if err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *list {
+	if c.list {
 		printList()
 		return
 	}
-	if *replayF != "" {
-		replay(*replayF)
+	if c.replayPath != "" {
+		replay(c.replayPath)
 		return
 	}
 
-	spec := scenario.Spec{
-		Protocol: scenario.Protocol(*protocol),
-		N:        *n, T: *t, Lambda: *lambda, Delta: *delta, K: *k,
-		TieBreak: scenario.TieBreak(*tiebreak),
-		Pivot:    scenario.Pivot(*pivot),
-		Attack:   scenario.Attack(*attack),
-		Confirm:  *confirm, Inputs: *inputs,
-	}
-	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		spec, err = scenario.ParseSpec(data)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Sweep = nil
-		spec.Trials = 0
-	}
-	// One seed reproduces everything: candidate sampling and the trials.
-	spec.Seed = *seed
-
-	rungs, err := parseRungs(*rungsF)
+	cfg, base, err := c.config()
 	if err != nil {
 		fatal(err)
 	}
-	ws, cleanup, err := connectWorkers(*distribute, *workersAdr)
+	dcfg, release, err := c.fleet.Connect()
 	if err != nil {
 		fatal(err)
 	}
-	defer cleanup()
-	var cache *distrib.Cache
-	if *cacheDir != "" {
-		if cache, err = distrib.NewCache(*cacheDir, 0); err != nil {
-			fatal(err)
-		}
-	}
+	defer release()
+	dcfg.InlineWorkers = c.workers
+	cfg.Distrib = dcfg
 
-	cfg := search.Config{
-		Spec:      spec,
-		Objective: search.Objective(*objective),
-		Budget:    *budget, Seed: *seed, Rungs: rungs, Eta: *eta,
-		Distrib: distrib.Config{
-			Workers: ws, Cache: cache, LeaseTimeout: *leaseTO,
-			ChunkSize: *chunkSize, InlineWorkers: *workers,
-		},
-	}
 	start := time.Now()
 	res, err := search.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	switch *format {
+	switch c.format {
 	case "json":
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -145,17 +188,17 @@ func main() {
 			fatal(err)
 		}
 	case "text":
-		printResult(res, spec, time.Since(start))
+		printResult(res, cfg.Spec, time.Since(start), c.reproduce(cfg, base, res))
 	default:
-		fatal(fmt.Errorf("unknown format %q (want text | json)", *format))
+		fatal(fmt.Errorf("unknown format %q (want text | json)", c.format))
 	}
 
-	if *promote != "" {
-		ce, err := search.Counterexample(spec, res.Best.Candidate, res.Objective, res.Best.Trials)
+	if c.promote != "" {
+		ce, err := search.Counterexample(cfg.Spec, res.Best.Candidate, res.Objective, res.Best.Trials)
 		if err != nil {
 			fatal(fmt.Errorf("promote: %w", err))
 		}
-		path, err := search.WriteCounterexample(ce, *promote)
+		path, err := search.WriteCounterexample(ce, c.promote)
 		if err != nil {
 			fatal(fmt.Errorf("promote: %w", err))
 		}
@@ -167,11 +210,7 @@ func main() {
 // executes this against every promoted spec, so a counterexample that
 // silently stops reproducing fails the build.
 func replay(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	spec, err := scenario.ParseSpec(data)
+	spec, err := scenario.LoadSpec(path)
 	if err != nil {
 		fatal(err)
 	}
@@ -189,7 +228,7 @@ func replay(path string) {
 
 // printResult renders the search trajectory and the winner, ending with
 // a ready-to-paste reproduction line.
-func printResult(res *search.Result, spec scenario.Spec, elapsed time.Duration) {
+func printResult(res *search.Result, spec scenario.Spec, elapsed time.Duration, reproduce string) {
 	fmt.Printf("== amsearch: %s n=%d t=%d λ=%g k=%d attack=%s ==\n",
 		spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec))
 	fmt.Printf("objective=%s metric=%s seed=%d budget=%d candidates=%d trials-used=%d elapsed=%v\n",
@@ -208,9 +247,7 @@ func printResult(res *search.Result, spec scenario.Spec, elapsed time.Duration) 
 		fmt.Printf("fleet: leases=%d dispatched=%d cache-hits=%d inline=%d retries=%d lost=%d\n",
 			st.Leases, st.Dispatched, st.FromCache, st.Inline, st.Retries, st.LostWorker)
 	}
-	fmt.Printf("reproduce: amsearch -protocol %s -n %d -t %d -lambda %g -k %d -attack %s -objective %s -budget %d -seed %d\n",
-		spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec),
-		res.Objective, res.Budget, res.Seed)
+	fmt.Printf("reproduce: %s\n", reproduce)
 }
 
 // printList enumerates the search space: every parameterized attack with
@@ -243,37 +280,6 @@ func parseRungs(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// connectWorkers assembles the evaluation fleet: dialed remote workers
-// plus re-exec'd local ones, exactly like amrun -distribute.
-func connectWorkers(spawn int, addrs string) ([]distrib.Transport, func(), error) {
-	var ws []distrib.Transport
-	if addrs != "" {
-		remote, err := distrib.DialWorkers(addrs)
-		if err != nil {
-			return nil, nil, err
-		}
-		ws = append(ws, remote...)
-	}
-	if spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, nil, fmt.Errorf("cannot locate own binary to spawn workers: %w", err)
-		}
-		procs, err := distrib.SpawnN(spawn, []string{exe, "-amworker"}, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range procs {
-			ws = append(ws, p)
-		}
-	}
-	return ws, func() {
-		for _, w := range ws {
-			w.Close()
-		}
-	}, nil
 }
 
 func attackName(s scenario.Spec) string {

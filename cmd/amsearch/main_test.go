@@ -5,9 +5,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/search"
 )
 
 // buildAmsearch compiles this command once per test run — the tests
@@ -121,4 +125,66 @@ func TestListShowsSchemas(t *testing.T) {
 			t.Fatalf("-list output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// The printed reproduce line must rerun the very same search: split by
+// the shell and parsed back through amsearch's own flags, it yields a
+// DeepEqual result. The first row is the Makefile's SEARCH_ARGS
+// (search-smoke), whose non-default tie-break and rungs a hand-written
+// line once dropped; the second searches around a -spec file whose path
+// holds a space, with a flag set to empty over the file's field.
+func TestReproduceLineRerunsSearch(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "my specs")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	specPath := filepath.Join(dir, "fork it.json")
+	if err := os.WriteFile(specPath, []byte(`{"protocol":"chain","n":7,"t":2,"lambda":0.5,"k":21,"tiebreak":"adversarial","attack":"fork","seed":3}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"search-smoke", strings.Fields("-protocol chain -n 9 -t 3 -lambda 0.5 -k 41 -tiebreak adversarial " +
+			"-attack fork -budget 960 -rungs 8,32 -seed 1")},
+		{"spec-path-with-space", []string{"-spec", specPath, "-tiebreak", "", "-budget", "120", "-rungs", "4,12"}},
+	}
+	runArgs := func(t *testing.T, args []string) (*command, search.Config, scenario.Spec, *search.Result) {
+		t.Helper()
+		c := newCommand()
+		if err := c.fs.Parse(args); err != nil {
+			t.Fatalf("parse %q: %v", args, err)
+		}
+		cfg, base, err := c.config()
+		if err != nil {
+			t.Fatalf("config %q: %v", args, err)
+		}
+		res, err := search.Run(cfg)
+		if err != nil {
+			t.Fatalf("search %q: %v", args, err)
+		}
+		return c, cfg, base, res
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cfg, base, want := runArgs(t, tc.args)
+			line := c.reproduce(cfg, base, want)
+			args := shellSplit(t, strings.TrimPrefix(line, "amsearch "))
+			_, _, _, got := runArgs(t, args)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reproduce line %q ran a different search:\ngot  %+v\nwant %+v", line, got.Best, want.Best)
+			}
+		})
+	}
+}
+
+// shellSplit splits line into words the way sh does when it is pasted.
+func shellSplit(t *testing.T, line string) []string {
+	t.Helper()
+	out, err := exec.Command("sh", "-c", `printf '%s\0' `+line).Output()
+	if err != nil {
+		t.Fatalf("sh could not split %q: %v", line, err)
+	}
+	return strings.Split(strings.TrimSuffix(string(out), "\x00"), "\x00")
 }

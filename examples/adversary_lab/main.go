@@ -10,8 +10,8 @@ import (
 	"log"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -25,27 +25,31 @@ func main() {
 	fmt.Printf("%-9s %-14s %-13s  %-22s %s\n", "protocol", "attack", "validity", "byz share of prefix", "structure damage")
 
 	cases := []struct {
-		protocol core.Protocol
-		tb       core.TieBreak
-		attack   core.Attack
+		protocol scenario.Protocol
+		tb       scenario.TieBreak
+		attack   scenario.Attack
 	}{
-		{core.Chain, core.TieRandom, core.AttackSilent},
-		{core.Chain, core.TieRandom, core.AttackFlip},
-		{core.Chain, core.TieAdversarial, core.AttackFork},
-		{core.Chain, core.TieRandom, core.AttackTieBreak},
-		{core.Chain, core.TieRandom, core.AttackEquivocate},
-		{core.Dag, "", core.AttackSilent},
-		{core.Dag, "", core.AttackFlip},
-		{core.Dag, "", core.AttackPrivateChain},
+		{scenario.Chain, scenario.TieRandom, scenario.AttackSilent},
+		{scenario.Chain, scenario.TieRandom, scenario.AttackFlip},
+		{scenario.Chain, scenario.TieAdversarial, scenario.AttackFork},
+		{scenario.Chain, scenario.TieRandom, scenario.AttackTieBreak},
+		{scenario.Chain, scenario.TieRandom, scenario.AttackEquivocate},
+		{scenario.Dag, "", scenario.AttackSilent},
+		{scenario.Dag, "", scenario.AttackFlip},
+		{scenario.Dag, "", scenario.AttackPrivateChain},
 	}
 	for _, tc := range cases {
+		b, err := scenario.Bind(scenario.Spec{
+			Protocol: tc.protocol, N: n, T: t, Lambda: lambda, K: k,
+			TieBreak: tc.tb, Attack: tc.attack,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		valid := 0
 		var byzShare, damage float64
 		for seed := uint64(0); seed < trials; seed++ {
-			r, err := core.Run(core.Config{
-				Protocol: tc.protocol, N: n, T: t, Lambda: lambda, K: k,
-				TieBreak: tc.tb, Attack: tc.attack, Seed: seed,
-			})
+			r, err := b.Run(seed)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -57,7 +61,7 @@ func main() {
 			damage += dmg
 		}
 		dmgLabel := "orphaned blocks"
-		if tc.protocol == core.Dag {
+		if tc.protocol == scenario.Dag {
 			dmgLabel = "blocks outside ordering"
 		}
 		fmt.Printf("%-9s %-14s %3d/%-9d  %-22.3f %.1f %s\n",
@@ -70,7 +74,7 @@ func main() {
 
 // analyze returns the Byzantine share of the decision prefix and the count
 // of blocks that do not contribute to it (orphans / unordered blocks).
-func analyze(r *core.Result, protocol string, k int) (byzShare, damage float64) {
+func analyze(r *scenario.Result, protocol string, k int) (byzShare, damage float64) {
 	view := r.FinalView
 	switch protocol {
 	case "chain":

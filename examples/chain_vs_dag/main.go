@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -24,16 +24,16 @@ func main() {
 	fmt.Printf("Chain vs DAG at t/n = %.1f (n=%d, k=%d, %d trials per point)\n\n", float64(t)/n, n, k, trials)
 	fmt.Printf("%-6s %-8s %-22s %-16s %-16s\n", "λ", "λ(n-t)", "chain bound 1/(1+λ(n-t))", "chain validity", "dag validity")
 	for _, lambda := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
-		chainSum, err := core.RunTrials(core.Config{
-			Protocol: core.Chain, N: n, T: t, Lambda: lambda, K: k,
-			TieBreak: core.TieRandom, Attack: core.AttackTieBreak, Seed: 1,
+		chainSum, err := scenario.RunTrials(scenario.Spec{
+			Protocol: scenario.Chain, N: n, T: t, Lambda: lambda, K: k,
+			TieBreak: scenario.TieRandom, Attack: scenario.AttackTieBreak, Seed: 1,
 		}, trials)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dagSum, err := core.RunTrials(core.Config{
-			Protocol: core.Dag, N: n, T: t, Lambda: lambda, K: k,
-			Pivot: core.PivotGhost, Attack: core.AttackPrivateChain, Seed: 1,
+		dagSum, err := scenario.RunTrials(scenario.Spec{
+			Protocol: scenario.Dag, N: n, T: t, Lambda: lambda, K: k,
+			Pivot: scenario.PivotGhost, Attack: scenario.AttackPrivateChain, Seed: 1,
 		}, trials)
 		if err != nil {
 			log.Fatal(err)

@@ -120,7 +120,7 @@ func handleLease(bounds map[string]*boundEntry, m *Msg) *Msg {
 }
 
 // ServeStdio serves one session over the process's stdin/stdout — the
-// worker mode amrun -distribute spawns and amworker defaults to.
+// worker mode -distribute spawns (see Fleet).
 func ServeStdio() error {
 	return Serve(NewStreamTransport(os.Stdin, os.Stdout))
 }

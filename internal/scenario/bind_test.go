@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,24 +13,35 @@ import (
 	"repro/internal/agreement/syncba"
 	"repro/internal/chain"
 	"repro/internal/node"
+	"repro/internal/trace"
 )
 
+type bindErrorCase struct {
+	name string
+	spec Spec
+	want string // substring of the error
+}
+
 func TestBindErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		spec Spec
-		want string // substring of the error
-	}{
-		{"unknown protocol", Spec{Protocol: "blockchain", N: 4}, "unknown protocol"},
+	expect := func(t *testing.T, cases []bindErrorCase) {
+		for _, tc := range cases {
+			_, err := Bind(tc.spec)
+			if err == nil {
+				t.Errorf("%s: Bind accepted %+v", tc.name, tc.spec)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+			}
+		}
+	}
+	expect(t, []bindErrorCase{
 		{"n zero", Spec{Protocol: Chain, N: 0}, "invalid roster"},
 		{"t >= n", Spec{Protocol: Chain, N: 4, T: 4}, "invalid roster"},
 		{"crashes overflow", Spec{Protocol: Chain, N: 4, T: 2, Crashes: 3}, "crashes"},
-		{"bad inputs", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Inputs: "bogus"}, "input spec"},
-		{"split out of range", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Inputs: "split:9"}, "input spec"},
 		{"unknown attack", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Attack: "ddos"}, "unknown attack"},
 		{"randomized attack on sync", Spec{Protocol: Sync, N: 4, T: 1, Attack: AttackFlip}, "not valid for protocol sync"},
 		{"sync attack on chain", Spec{Protocol: Chain, N: 4, T: 1, Lambda: 1, K: 5, Attack: AttackDelayedChain}, "not valid for protocol"},
-		{"chain attack on dag", Spec{Protocol: Dag, N: 4, T: 1, Lambda: 1, K: 5, Attack: AttackTieBreak}, "not valid for protocol"},
 		{"lambda missing", Spec{Protocol: Chain, N: 4, K: 5}, "lambda"},
 		{"k missing", Spec{Protocol: Chain, N: 4, Lambda: 1}, "k > 0"},
 		{"rates length", Spec{Protocol: Chain, N: 4, Rates: []float64{1, 1}, K: 5}, "rates"},
@@ -37,19 +49,21 @@ func TestBindErrors(t *testing.T) {
 		{"round-robin on sync", Spec{Protocol: Sync, N: 4, T: 1, Access: AccessRoundRobin}, "randomized protocols only"},
 		{"unknown access", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Access: "lottery"}, "unknown access"},
 		{"confirm on timestamp", Spec{Protocol: Timestamp, N: 4, Lambda: 1, K: 5, Confirm: 3}, "confirm"},
-		{"unknown tiebreak", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, TieBreak: "coin"}, "unknown tie-break"},
-		{"unknown pivot", Spec{Protocol: Dag, N: 4, Lambda: 1, K: 5, Pivot: "heaviest"}, "unknown pivot"},
-	}
-	for _, tc := range cases {
-		_, err := Bind(tc.spec)
-		if err == nil {
-			t.Errorf("%s: Bind accepted %+v", tc.name, tc.spec)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
+	})
+	// Unknown names and attacks bound to a protocol they do not target.
+	t.Run("bad-combos", func(t *testing.T) {
+		expect(t, []bindErrorCase{
+			{"unknown protocol", Spec{Protocol: "blockchain", N: 4}, "unknown protocol"},
+			{"chain attack on timestamp", Spec{Protocol: Timestamp, N: 4, T: 1, Lambda: 1, K: 3, Attack: AttackFork}, "not valid for protocol"},
+			{"dag attack on chain", Spec{Protocol: Chain, N: 4, T: 1, Lambda: 1, K: 3, Attack: AttackPrivateChain}, "not valid for protocol"},
+			{"chain attack on dag", Spec{Protocol: Dag, N: 4, T: 1, Lambda: 1, K: 5, Attack: AttackTieBreak}, "not valid for protocol"},
+			{"chain attack on sync", Spec{Protocol: Sync, N: 4, T: 1, Attack: AttackFork}, "not valid for protocol sync"},
+			{"unknown tiebreak", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, TieBreak: "coin"}, "unknown tie-break"},
+			{"unknown pivot", Spec{Protocol: Dag, N: 4, Lambda: 1, K: 5, Pivot: "heaviest"}, "unknown pivot"},
+			{"bad inputs", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Inputs: "bogus"}, "input spec"},
+			{"split out of range", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Inputs: "split:9"}, "input spec"},
+		})
+	})
 }
 
 func TestBindDefaults(t *testing.T) {
@@ -156,48 +170,206 @@ func assertSameRandomized(t *testing.T, seed uint64, got, want *agreement.Result
 	}
 }
 
-// TestUnifiedRun: Run must agree with the harness-specific entry points
-// and populate the uniform Result.
+// TestUnifiedRun: Run must populate the uniform Result, agree with the
+// harness-specific entry points, replay identically at the same seed with
+// tracing on or off, and carry every spec knob through to the run.
 func TestUnifiedRun(t *testing.T) {
-	b := MustBind(Spec{Protocol: Dag, N: 5, T: 1, Lambda: 1, K: 7})
-	r, err := b.Run(3)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	ok := func(t *testing.T, r *Result, _ *trace.Recorder) {
+		if !r.Verdict.OK() {
+			t.Errorf("verdict %+v", r.Verdict)
+		}
 	}
-	direct := b.Randomized(3)
-	if r.Verdict != direct.Verdict || r.TotalAppends != direct.TotalAppends || r.Duration != direct.Duration {
-		t.Fatal("Run disagrees with Randomized at the same seed")
+	inputs := func(want func(in []int64) bool) func(*testing.T, *Result, *trace.Recorder) {
+		return func(t *testing.T, r *Result, _ *trace.Recorder) {
+			if !want(r.Inputs) {
+				t.Errorf("inputs %v", r.Inputs)
+			}
+		}
 	}
-	if !r.HasView || r.FinalView.Size() == 0 {
-		t.Fatal("Run did not carry the final view")
+	type unifiedCase struct {
+		name  string
+		spec  Spec
+		check func(t *testing.T, r *Result, rec *trace.Recorder) // nil: the common checks only
 	}
-
-	s := MustBind(Spec{Protocol: Sync, N: 4, T: 1})
-	rs, err := s.Run(3)
-	if err != nil {
-		t.Fatalf("sync Run: %v", err)
+	cases := []unifiedCase{
+		{"dag-matches-randomized", Spec{Protocol: Dag, N: 5, T: 1, Lambda: 1, K: 7, Seed: 3},
+			func(t *testing.T, r *Result, _ *trace.Recorder) {
+				direct := MustBind(Spec{Protocol: Dag, N: 5, T: 1, Lambda: 1, K: 7}).Randomized(3)
+				if r.Verdict != direct.Verdict || r.TotalAppends != direct.TotalAppends || r.Duration != direct.Duration {
+					t.Error("Run disagrees with Randomized at the same seed")
+				}
+			}},
+		{"sync-view", Spec{Protocol: Sync, N: 4, T: 1, Seed: 3},
+			func(t *testing.T, r *Result, _ *trace.Recorder) {
+				if r.TotalAppends != r.FinalView.Size() {
+					t.Errorf("sync appends %d != view size %d", r.TotalAppends, r.FinalView.Size())
+				}
+			}},
+		{"chain-tiebreak", Spec{Protocol: Chain, N: 8, T: 2, Lambda: 0.5, K: 15, Seed: 77, Attack: AttackTieBreak}, nil},
+		{"crashes", Spec{Protocol: Dag, N: 8, Crashes: 3, Lambda: 0.5, K: 11, Seed: 4},
+			func(t *testing.T, r *Result, rec *trace.Recorder) {
+				ok(t, r, rec)
+				if len(r.Roster.Correct()) != 5 {
+					t.Errorf("correct = %d, want 5", len(r.Roster.Correct()))
+				}
+			}},
+		// The burst-free authority completes runs with a perfectly even
+		// grant pattern: per-node GRANT counts differ by at most one
+		// (appends can differ more — nodes stop appending once decided).
+		{"round-robin", Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 24, Access: AccessRoundRobin, Seed: 2},
+			func(t *testing.T, r *Result, rec *trace.Recorder) {
+				ok(t, r, rec)
+				counts := make([]int, 6)
+				for _, e := range rec.Events() {
+					if e.Kind == trace.Grant {
+						counts[e.Node]++
+					}
+				}
+				if slices.Max(counts)-slices.Min(counts) > 1 {
+					t.Errorf("round-robin grants uneven: %v", counts)
+				}
+			}},
 	}
-	if !rs.HasView || rs.TotalAppends != rs.FinalView.Size() {
-		t.Fatal("sync Run result inconsistent")
+	// Every protocol satisfies agreement, validity and termination
+	// against the silent adversary.
+	protocols := []unifiedCase{
+		{"sync", Spec{Protocol: Sync, N: 7, T: 2, Seed: 1}, ok},
+		{"timestamp", Spec{Protocol: Timestamp, N: 8, T: 2, Lambda: 0.5, K: 11, Seed: 1}, ok},
+		{"chain", Spec{Protocol: Chain, N: 8, T: 2, Lambda: 0.2, K: 11, Seed: 1}, ok},
+		{"dag", Spec{Protocol: Dag, N: 8, T: 2, Lambda: 0.5, K: 11, Seed: 1}, ok},
+	}
+	inputSpecs := []unifiedCase{
+		{"default", Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 5, Seed: 2},
+			inputs(func(in []int64) bool { return in[0] == 1 && in[5] == 1 })},
+		{"same", Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 5, Seed: 2, Inputs: "same"},
+			inputs(func(in []int64) bool { return in[0] == 1 })},
+		{"same-minus", Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 5, Seed: 2, Inputs: "same:-1"},
+			inputs(func(in []int64) bool { return in[0] == -1 })},
+		{"split", Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 5, Seed: 2, Inputs: "split:2"},
+			inputs(func(in []int64) bool { return in[0] == 1 && in[1] == 1 && in[2] == -1 })},
+		{"random", Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 5, Seed: 2, Inputs: "random"},
+			inputs(func(in []int64) bool { return in[0] == 1 || in[0] == -1 })},
+	}
+	// The loud flip cannot hurt sync BA at t < n/2; the delayed chain
+	// breaks agreement when the protocol stops before round t+1.
+	syncAttacks := []unifiedCase{
+		{"loud-flip", Spec{Protocol: Sync, N: 8, T: 3, Seed: 1, Attack: AttackLoudFlip}, ok},
+		{"delayed-chain", Spec{Protocol: Sync, N: 8, T: 3, Rounds: 2, Seed: 1, Inputs: "split:3", Attack: AttackDelayedChain},
+			func(t *testing.T, r *Result, _ *trace.Recorder) {
+				if r.Verdict.Agreement {
+					t.Error("delayed chain at rounds < t+1 did not break agreement on seed 1")
+				}
+			}},
+	}
+	run := func(t *testing.T, tc unifiedCase) {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := Bind(tc.spec)
+			if err != nil {
+				t.Fatalf("Bind: %v", err)
+			}
+			rec := trace.New()
+			r, err := b.RunTraced(tc.spec.Seed, rec)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !r.HasView || r.FinalView.Size() == 0 || r.TotalAppends == 0 {
+				t.Error("Run did not carry the final view and appends")
+			}
+			again, err := b.Run(tc.spec.Seed)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if again.TotalAppends != r.TotalAppends || again.Duration != r.Duration ||
+				!reflect.DeepEqual(again.Decision, r.Decision) {
+				t.Error("same spec and seed produced different runs")
+			}
+			if tc.check != nil {
+				tc.check(t, r, rec)
+			}
+		})
+	}
+	for _, tc := range cases {
+		run(t, tc)
+	}
+	for _, g := range []struct {
+		name  string
+		cases []unifiedCase
+	}{{"protocols", protocols}, {"inputs", inputSpecs}, {"sync-attacks", syncAttacks}} {
+		t.Run(g.name, func(t *testing.T) {
+			for _, tc := range g.cases {
+				run(t, tc)
+			}
+		})
 	}
 }
 
+// TestRunTrials: RunTrials aggregates consistent verdict counts over
+// seeds Seed, Seed+1, ..., and the adversary and ablation knobs move
+// them the way the paper says.
 func TestRunTrials(t *testing.T) {
-	sum, err := RunTrials(Spec{Protocol: Chain, N: 5, T: 1, Lambda: 1, K: 7, Seed: 1}, 4)
-	if err != nil {
-		t.Fatalf("RunTrials: %v", err)
+	cases := []struct {
+		name   string
+		spec   Spec
+		trials int
+		check  func(t *testing.T, s TrialSummary) // nil: the common checks only
+	}{
+		{"chain", Spec{Protocol: Chain, N: 5, T: 1, Lambda: 1, K: 7, Seed: 1}, 4, nil},
+		{"dag", Spec{Protocol: Dag, N: 8, T: 2, Lambda: 0.5, K: 11, Seed: 10}, 5,
+			func(t *testing.T, s TrialSummary) {
+				if s.OK == 0 {
+					t.Errorf("no trial ok: %+v", s)
+				}
+			}},
+		// The flip attack must hurt validity at small k.
+		{"flip-wiring", Spec{Protocol: Timestamp, N: 10, T: 4, Lambda: 0.5, K: 5, Attack: AttackFlip}, 30,
+			func(t *testing.T, s TrialSummary) {
+				if s.Validity == s.Trials {
+					t.Error("flip attack had no effect; wiring broken?")
+				}
+			}},
+		// An async blackout breaks DAG validity under the private chain.
+		{"stall", Spec{Protocol: Dag, N: 10, T: 4, Lambda: 1, K: 41, Attack: AttackPrivateChain, StallAtSize: 30, StallFor: 6}, 15,
+			func(t *testing.T, s TrialSummary) {
+				if s.Validity > 7 {
+					t.Errorf("blackout barely hurt DAG validity: %d/15 valid", s.Validity)
+				}
+			}},
+		// Fresh reads restore chain validity under the tie-break attack at
+		// a rate where stale views collapse.
+		{"fresh-reads", Spec{Protocol: Chain, N: 10, T: 4, Lambda: 1, K: 21, Attack: AttackTieBreak, FreshReads: true}, 15,
+			func(t *testing.T, fresh TrialSummary) {
+				stale, err := RunTrials(Spec{Protocol: Chain, N: 10, T: 4, Lambda: 1, K: 21, Attack: AttackTieBreak}, 15)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh.Validity <= stale.Validity {
+					t.Errorf("fresh reads did not help: stale %d vs fresh %d", stale.Validity, fresh.Validity)
+				}
+			}},
 	}
-	if sum.Trials != 4 {
-		t.Fatalf("trials = %d", sum.Trials)
-	}
-	if sum.OK > sum.Trials || sum.OK > sum.Agreement || sum.OK > sum.Validity || sum.OK > sum.Termination {
-		t.Fatalf("inconsistent summary %+v", sum)
-	}
-	if !strings.Contains(sum.String(), "ok ") {
-		t.Fatalf("String() = %q", sum.String())
-	}
-	if sum.Rate() < 0 || sum.Rate() > 1 {
-		t.Fatalf("Rate() = %v", sum.Rate())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sum, err := RunTrials(tc.spec, tc.trials)
+			if err != nil {
+				t.Fatalf("RunTrials: %v", err)
+			}
+			if sum.Trials != tc.trials {
+				t.Fatalf("trials = %d", sum.Trials)
+			}
+			if sum.OK > sum.Trials || sum.OK > sum.Agreement || sum.OK > sum.Validity || sum.OK > sum.Termination ||
+				sum.Agreement > sum.Trials || sum.Validity > sum.Trials || sum.Termination > sum.Trials {
+				t.Fatalf("inconsistent summary %+v", sum)
+			}
+			if sum.Rate() < 0 || sum.Rate() > 1 || sum.Rate() != float64(sum.OK)/float64(tc.trials) {
+				t.Fatalf("Rate() = %v", sum.Rate())
+			}
+			if !strings.Contains(sum.String(), "ok ") {
+				t.Fatalf("String() = %q", sum.String())
+			}
+			if tc.check != nil {
+				tc.check(t, sum)
+			}
+		})
 	}
 
 	if _, err := RunTrials(Spec{Protocol: "nope", N: 1}, 1); err == nil {

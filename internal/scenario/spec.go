@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -12,71 +14,74 @@ import (
 // block that turns runs into numbers. The zero value of every optional
 // field means "the default", so specs stay terse, and the whole struct
 // round-trips through JSON — examples/scenarios/*.json files are Specs.
+//
+// The struct is the only list of scenario parameters. A field with a
+// `help` tag is a command-line flag named after its json tag with _ → -
+// (stall_at is -stall-at; see Flags), and a scalar one is also a sweep
+// axis named after its json tag, unless tagged `sweep:"-"`.
 type Spec struct {
 	// Name labels the scenario in tables and JSON output.
 	Name string `json:"name,omitempty"`
 	// Doc is a free-form description (carried through JSON, never parsed).
 	Doc string `json:"doc,omitempty"`
 
-	Protocol Protocol `json:"protocol"`
-	N        int      `json:"n"`
-	T        int      `json:"t,omitempty"`       // Byzantine nodes (the last T ids)
-	Crashes  int      `json:"crashes,omitempty"` // crash-faulty correct nodes
+	Protocol Protocol `json:"protocol" help:"agreement protocol"`
+	N        int      `json:"n" help:"total nodes"`
+	T        int      `json:"t,omitempty" help:"Byzantine nodes (the last t ids)"`
+	Crashes  int      `json:"crashes,omitempty" help:"crash-faulty correct nodes"`
 
-	Lambda float64   `json:"lambda,omitempty"` // token rate per node per Δ (randomized protocols)
-	Rates  []float64 `json:"rates,omitempty"`  // per-node rates ("hashing power"); overrides Lambda
-	Delta  float64   `json:"delta,omitempty"`  // synchrony bound; 0 means 1.0
-	K      int       `json:"k,omitempty"`      // decision threshold (randomized protocols)
-	Rounds int       `json:"rounds,omitempty"` // sync protocol; 0 means T+1
+	Lambda float64   `json:"lambda,omitempty" help:"token rate per node per Δ (randomized protocols)"`
+	Rates  []float64 `json:"rates,omitempty"` // per-node rates ("hashing power"); overrides Lambda
+	Delta  float64   `json:"delta,omitempty" help:"synchrony bound Δ (0 = 1.0)"`
+	K      int       `json:"k,omitempty" help:"decision threshold (randomized protocols)"`
+	Rounds int       `json:"rounds,omitempty" help:"rounds for the sync protocol (0 = t+1)"`
 
-	TieBreak TieBreak `json:"tiebreak,omitempty"` // chain protocol; "" means random
-	Pivot    Pivot    `json:"pivot,omitempty"`    // dag protocol; "" means ghost
-	Confirm  int      `json:"confirm,omitempty"`  // chain/dag confirmation depth
+	TieBreak TieBreak `json:"tiebreak,omitempty" help:"chain tie-breaking (empty = random)"`
+	Pivot    Pivot    `json:"pivot,omitempty" help:"dag pivot rule (empty = ghost)"`
+	Confirm  int      `json:"confirm,omitempty" help:"chain/dag confirmation depth"`
 
-	Attack Attack `json:"attack,omitempty"` // "" means silent
-	Margin int    `json:"margin,omitempty"` // last-minute attack: burst margin; 0 means 6
+	Attack Attack `json:"attack,omitempty" help:"Byzantine strategy (empty = silent)"`
+	Margin int    `json:"margin,omitempty" help:"last-minute attack burst margin (0 = 6)"`
 	// AttackParams overrides individual template parameters of a
 	// parameterized attack (see the attack's Schema, printed by amrun
 	// -list). Unknown names and out-of-range values are rejected at Bind.
-	AttackParams map[string]Value `json:"attack_params,omitempty"`
+	AttackParams map[string]Value `json:"attack_params,omitempty" help:"attack template parameter overrides as name=value,name=value (see -list for each attack's schema)"`
 
-	// Inputs: "same" (all +1, default), "same:-1", "split:<ones>", or
-	// "random".
-	Inputs string `json:"inputs,omitempty"`
+	Inputs string `json:"inputs,omitempty" help:"inputs: same | same:-1 | split:<ones> | random (empty = same)"`
 
-	Access     Access `json:"access,omitempty"`      // "" means poisson
-	FreshReads bool   `json:"fresh_reads,omitempty"` // ablation: honest nodes read at grant time
+	Access     Access `json:"access,omitempty" help:"token authority (empty = poisson)"`
+	FreshReads bool   `json:"fresh_reads,omitempty" help:"ablation: honest nodes read at grant time (no Δ staleness)"`
 
 	// Topology selects the network graph the appends propagate over; ""
 	// (or "complete") keeps the Δ-bounded oracle path. The remaining
 	// fields shape the graph and its per-link delays; they are inert on
 	// the complete topology, so sweeps may mix it with sparse graphs.
-	Topology       Topology           `json:"topology,omitempty"`
-	TopologyParams map[string]float64 `json:"topology_params,omitempty"` // generator shape (k, cols, beta, m)
-	TopologyTable  [][]float64        `json:"topology_table,omitempty"`  // explicit [from, to, latency-in-Δ] rows (topology "table")
-	LinkDelay      float64            `json:"link_delay,omitempty"`      // base per-link latency in Δ; 0 means 0.5
-	LinkJitter     float64            `json:"link_jitter,omitempty"`     // delay spread fraction in [0,1); 0 means the model default
-	DelayDist      string             `json:"delay_dist,omitempty"`      // per-link delay distribution; "" means fixed
+	Topology       Topology           `json:"topology,omitempty" help:"network topology (empty = complete)"`
+	TopologyParams map[string]float64 `json:"topology_params,omitempty" help:"topology generator parameters as k=v,k=v (e.g. k=2,beta=0.3)"`
+	TopologyTable  [][]float64        `json:"topology_table,omitempty"` // explicit [from, to, latency-in-Δ] rows (topology "table")
+	LinkDelay      float64            `json:"link_delay,omitempty" help:"base per-link latency in Δ (0 = 0.5)"`
+	LinkJitter     float64            `json:"link_jitter,omitempty" help:"per-link delay spread fraction in [0,1) (0 = the model default)"`
+	DelayDist      string             `json:"delay_dist,omitempty" help:"per-link delay distribution (empty = fixed; -list shows all)"`
 
-	StallAtSize   int     `json:"stall_at,omitempty"`        // temporal-asynchrony blackout trigger size
-	StallFor      float64 `json:"stall_for,omitempty"`       // blackout duration in Δ; 0 means 8
-	AsyncDelayMax float64 `json:"async_delay_max,omitempty"` // honest token-to-append delay bound in Δ (Theorem 5.1)
+	StallAtSize   int     `json:"stall_at,omitempty" help:"inject an async blackout once memory reaches this size (0 = off)"`
+	StallFor      float64 `json:"stall_for,omitempty" help:"blackout duration in Δ (0 = 8)"`
+	AsyncDelayMax float64 `json:"async_delay_max,omitempty" help:"honest token-to-append delay bound in Δ, Theorem 5.1 (0 = off)"`
 
 	// Window > 0 runs the memory in windowed (bounded-live) mode: every Δ
 	// the harness retires messages no party can reach any more, keeping at
 	// least Window live. Decisions are unchanged. Chain/dag protocols with
 	// the silent or flip attack only; must cover the decision lookback
 	// k+confirm; incompatible with topology/async/stall and Checkpoint.
-	Window int `json:"window,omitempty"`
+	Window int `json:"window,omitempty" help:"bounded-memory horizon: keep at least this many messages live, retiring older ones (0 = unbounded)"`
 	// Checkpoint reuses trial prefixes across a confirm sweep: the lowest
 	// confirmation point of each sweep group snapshots every trial at its
 	// first decision, and deeper-confirmation points fast-forward from the
 	// snapshot instead of re-simulating the shared prefix. Results are
 	// byte-identical with or without it. Chain/dag with silent/flip only.
-	Checkpoint bool `json:"checkpoint,omitempty"`
+	Checkpoint bool `json:"checkpoint,omitempty" help:"snapshot each trial at first decision and reuse the prefix across confirm-sweep points" sweep:"-"`
 
-	Seed   uint64 `json:"seed,omitempty"`   // base seed; trial i uses Seed+i
-	Trials int    `json:"trials,omitempty"` // trials per sweep point; 0 means 1
+	Seed   uint64 `json:"seed,omitempty" help:"base seed; trial i uses seed+i"`
+	Trials int    `json:"trials,omitempty" help:"trials per sweep point (0 = 1)" sweep:"-"`
 
 	// Metrics names the metric extractors evaluated per point (see the
 	// Metrics registry); empty means ok/validity/agreement/termination.
@@ -85,6 +90,37 @@ type Spec struct {
 	// Sweep declares the parameter axes: the cartesian product of the axis
 	// values is run, first axis outermost. An empty sweep is one point.
 	Sweep []Axis `json:"sweep,omitempty"`
+}
+
+// param is one Spec field reachable from the command line.
+type param struct {
+	name  string // the json tag: the sweep axis name; the flag swaps _ for -
+	help  string
+	index int  // field index in Spec
+	axis  bool // sweepable: a scalar field not tagged sweep:"-"
+}
+
+// flagName is the param's command-line flag name.
+func (p param) flagName() string { return strings.ReplaceAll(p.name, "_", "-") }
+
+// paramTable lists the Spec fields that carry a help tag, in declaration
+// order; it is read off the struct, never written out by hand.
+var paramTable = specParams()
+
+func specParams() []param {
+	t := reflect.TypeOf(Spec{})
+	var ps []param
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		help, ok := f.Tag.Lookup("help")
+		if !ok {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		ps = append(ps, param{name: name, help: help, index: i,
+			axis: f.Type.Kind() != reflect.Map && f.Tag.Get("sweep") != "-"})
+	}
+	return ps
 }
 
 // Axis is one sweep dimension: a parameter name and the values it takes.
@@ -183,19 +219,19 @@ func ParseAxis(s string) (Axis, error) {
 	return Axis{}, fmt.Errorf("scenario: unknown sweep axis %q (have %s)", ax.Name, strings.Join(SweepAxes(), ", "))
 }
 
-// SweepAxes lists the parameter names a sweep may vary. In addition to
-// these, "topo:<param>" sweeps one topology generator parameter (e.g.
-// "topo:beta" for the small-world rewiring probability) and
-// "attack:<param>" sweeps one attack template parameter (e.g.
-// "attack:fork_period" for the chain templates' fork schedule).
+// SweepAxes lists the parameter names a sweep may vary, in Spec field
+// order. In addition to these, "topo:<param>" sweeps one topology
+// generator parameter (e.g. "topo:beta" for the small-world rewiring
+// probability) and "attack:<param>" sweeps one attack template parameter
+// (e.g. "attack:fork_period" for the chain templates' fork schedule).
 func SweepAxes() []string {
-	return []string{
-		"n", "t", "crashes", "lambda", "delta", "k", "rounds", "confirm",
-		"margin", "stall_at", "stall_for", "async_delay_max", "window", "seed",
-		"protocol", "tiebreak", "pivot", "attack", "inputs", "access",
-		"fresh_reads", "topology", "link_delay", "link_jitter", "delay_dist",
-		"topo:<param>", "attack:<param>",
+	var axes []string
+	for _, p := range paramTable {
+		if p.axis {
+			axes = append(axes, p.name)
+		}
 	}
+	return append(axes, "topo:<param>", "attack:<param>")
 }
 
 // topoParamAxis returns the topology parameter name a "topo:<param>" axis
@@ -220,32 +256,6 @@ func attackParamAxis(axis string) string {
 
 // with returns the spec with one axis set to one value.
 func (s Spec) with(axis string, v Value) (Spec, error) {
-	setInt := func(dst *int) error {
-		if v.IsStr {
-			return fmt.Errorf("scenario: axis %q needs numeric values, got %q", axis, v.Str)
-		}
-		n := int(v.Num)
-		if float64(n) != v.Num {
-			return fmt.Errorf("scenario: axis %q needs integer values, got %v", axis, v.Num)
-		}
-		*dst = n
-		return nil
-	}
-	setFloat := func(dst *float64) error {
-		if v.IsStr {
-			return fmt.Errorf("scenario: axis %q needs numeric values, got %q", axis, v.Str)
-		}
-		*dst = v.Num
-		return nil
-	}
-	setStr := func(set func(string)) error {
-		if !v.IsStr {
-			return fmt.Errorf("scenario: axis %q needs string values, got %v", axis, v.Num)
-		}
-		set(v.Str)
-		return nil
-	}
-	var err error
 	if param := attackParamAxis(axis); param != "" {
 		// Copy-on-write, like topo:<param>: sweep points must not alias
 		// one params map.
@@ -270,73 +280,52 @@ func (s Spec) with(axis string, v Value) (Spec, error) {
 		s.TopologyParams = params
 		return s, nil
 	}
-	switch axis {
-	case "n":
-		err = setInt(&s.N)
-	case "t":
-		err = setInt(&s.T)
-	case "crashes":
-		err = setInt(&s.Crashes)
-	case "k":
-		err = setInt(&s.K)
-	case "rounds":
-		err = setInt(&s.Rounds)
-	case "confirm":
-		err = setInt(&s.Confirm)
-	case "margin":
-		err = setInt(&s.Margin)
-	case "stall_at":
-		err = setInt(&s.StallAtSize)
-	case "window":
-		err = setInt(&s.Window)
-	case "lambda":
-		err = setFloat(&s.Lambda)
-	case "delta":
-		err = setFloat(&s.Delta)
-	case "stall_for":
-		err = setFloat(&s.StallFor)
-	case "link_delay":
-		err = setFloat(&s.LinkDelay)
-	case "link_jitter":
-		err = setFloat(&s.LinkJitter)
-	case "async_delay_max":
-		err = setFloat(&s.AsyncDelayMax)
-	case "seed":
-		var n int
-		if err = setInt(&n); err == nil {
-			s.Seed = uint64(n)
+	for _, p := range paramTable {
+		if p.axis && p.name == axis {
+			return s, setAxis(reflect.ValueOf(&s).Elem().Field(p.index), axis, v)
 		}
-	case "protocol":
-		err = setStr(func(x string) { s.Protocol = Protocol(x) })
-	case "tiebreak":
-		err = setStr(func(x string) { s.TieBreak = TieBreak(x) })
-	case "pivot":
-		err = setStr(func(x string) { s.Pivot = Pivot(x) })
-	case "attack":
-		err = setStr(func(x string) { s.Attack = Attack(x) })
-	case "inputs":
-		err = setStr(func(x string) { s.Inputs = x })
-	case "access":
-		err = setStr(func(x string) { s.Access = Access(x) })
-	case "topology":
-		err = setStr(func(x string) { s.Topology = Topology(x) })
-	case "delay_dist":
-		err = setStr(func(x string) { s.DelayDist = x })
-	case "fresh_reads":
-		switch {
-		case v.IsStr && v.Str == "true":
-			s.FreshReads = true
-		case v.IsStr && v.Str == "false":
-			s.FreshReads = false
-		case !v.IsStr:
-			s.FreshReads = v.Num != 0
-		default:
-			err = fmt.Errorf("scenario: axis fresh_reads needs true/false or 0/1, got %q", v.Str)
-		}
-	default:
-		err = fmt.Errorf("scenario: unknown sweep axis %q (have %s)", axis, strings.Join(SweepAxes(), ", "))
 	}
-	return s, err
+	return s, fmt.Errorf("scenario: unknown sweep axis %q (have %s)", axis, strings.Join(SweepAxes(), ", "))
+}
+
+// setAxis stores one sweep value into a scalar Spec field, checking that
+// the value's kind fits the field's.
+func setAxis(f reflect.Value, axis string, v Value) error {
+	if f.Kind() == reflect.String {
+		if !v.IsStr {
+			return fmt.Errorf("scenario: axis %q needs string values, got %v", axis, v.Num)
+		}
+		f.SetString(v.Str)
+		return nil
+	}
+	if f.Kind() == reflect.Bool {
+		switch {
+		case v.IsStr && (v.Str == "true" || v.Str == "false"):
+			f.SetBool(v.Str == "true")
+		case !v.IsStr:
+			f.SetBool(v.Num != 0)
+		default:
+			return fmt.Errorf("scenario: axis %s needs true/false or 0/1, got %q", axis, v.Str)
+		}
+		return nil
+	}
+	if v.IsStr {
+		return fmt.Errorf("scenario: axis %q needs numeric values, got %q", axis, v.Str)
+	}
+	if f.Kind() == reflect.Float64 {
+		f.SetFloat(v.Num)
+		return nil
+	}
+	n := int(v.Num)
+	if float64(n) != v.Num {
+		return fmt.Errorf("scenario: axis %q needs integer values, got %v", axis, v.Num)
+	}
+	if f.Kind() == reflect.Uint64 {
+		f.SetUint(uint64(n))
+	} else {
+		f.SetInt(int64(n))
+	}
+	return nil
 }
 
 // Point is one concrete spec of a sweep, with its coordinates along the
@@ -390,4 +379,13 @@ func ParseSpec(data []byte) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario: bad spec: %w", err)
 	}
 	return s, nil
+}
+
+// LoadSpec reads and parses a JSON spec file.
+func LoadSpec(path string) (Spec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Spec{}, err
+	}
+	return ParseSpec(data)
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,6 +63,88 @@ func TestSpecRoundTripCoversEveryField(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		if v.Field(i).IsZero() {
 			t.Errorf("fullSpec leaves field %s zero — the round-trip test does not cover it", typ.Field(i).Name)
+		}
+	}
+}
+
+// TestFlagsCoverSpec extends the fullSpec guard to the command line:
+// every Spec field is either a flag or listed below as file-only, every
+// sweep axis names a flag field, and fullSpec survives rendering to flags
+// (Flags.Args) and parsing back. A new field with neither a help tag nor
+// a fileOnly entry fails here.
+func TestFlagsCoverSpec(t *testing.T) {
+	fileOnly := map[string]bool{"name": true, "doc": true, "rates": true, "topology_table": true, "metrics": true, "sweep": true}
+	fs := flag.NewFlagSet("render", flag.ContinueOnError)
+	f := NewFlags(fs, Spec{})
+	flagName := func(json string) string { return strings.ReplaceAll(json, "_", "-") }
+
+	var want Spec // fullSpec restricted to the flag fields
+	full, typ := reflect.ValueOf(fullSpec()), reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		hasFlag := fs.Lookup(flagName(name)) != nil
+		if hasFlag == fileOnly[name] {
+			t.Errorf("field %s: has a flag %v, listed file-only %v — give it a help tag or list it", typ.Field(i).Name, hasFlag, fileOnly[name])
+		}
+		if hasFlag {
+			reflect.ValueOf(&want).Elem().Field(i).Set(full.Field(i))
+		}
+	}
+	for _, axis := range SweepAxes() {
+		if !strings.HasSuffix(axis, ":<param>") && fs.Lookup(flagName(axis)) == nil {
+			t.Errorf("sweep axis %q names no flag field", axis)
+		}
+	}
+
+	args := f.Args(fullSpec(), Spec{})
+	parse := flag.NewFlagSet("parse", flag.ContinueOnError)
+	g := NewFlags(parse, Spec{})
+	if err := parse.Parse(args); err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	got, err := g.Apply(Spec{})
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags round trip changed the spec:\nargs: %q\n in: %+v\nout: %+v", args, want, got)
+	}
+}
+
+// TestFlagsApply: only explicitly set flags override the base (a -spec
+// file), and registry names are checked when the flags are applied.
+func TestFlagsApply(t *testing.T) {
+	base := fullSpec()
+	cases := []struct {
+		args []string
+		want func(*Spec) // applied to base; nil when Apply must fail
+	}{
+		{nil, func(*Spec) {}},
+		{[]string{"-n", "3", "-fresh-reads=false", "-stall-at", "9"}, func(s *Spec) { s.N = 3; s.FreshReads = false; s.StallAtSize = 9 }},
+		{[]string{"-topology-params", "m=3", "-attack-params", "withhold=2"}, func(s *Spec) {
+			s.TopologyParams = map[string]float64{"m": 3}
+			s.AttackParams = map[string]Value{"withhold": {Num: 2}}
+		}},
+		{[]string{"-access", "lottery"}, nil},
+		{[]string{"-topology", "torus"}, nil},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("apply", flag.ContinueOnError)
+		f := NewFlags(fs, Spec{Protocol: Chain, N: 10})
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%q: parse: %v", tc.args, err)
+		}
+		got, err := f.Apply(base)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%q: unknown registry name accepted", tc.args)
+			}
+			continue
+		}
+		want := fullSpec()
+		tc.want(&want)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: Apply = %+v, %v; want %+v", tc.args, got, err, want)
 		}
 	}
 }
