@@ -1,16 +1,13 @@
-// Bounded-memory execution: windowed retirement of the append memory and
-// pre-decision trial checkpoints. Both are opt-in; with the Window,
-// CheckpointSink and ResumeFrom knobs at their zero values RunRandomized
-// consumes randomness and schedules events in exactly the historical
-// order, byte for byte.
+// Windowed retirement of the append memory. Opt-in: with Window at zero a
+// run consumes no randomness and schedules no events for it.
 package agreement
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/appendmem"
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // WindowedRule is implemented by per-node rule instances that can bound
@@ -88,33 +85,60 @@ func windowChunk(window int) int {
 	return c
 }
 
-// Checkpoint is a resumable snapshot of a run, captured immediately before
-// the first decision commits: the cloned memory, the virtual clock, the
-// authority's pending grant, and the position of every rng stream. At that
-// instant no node has decided, so two runs differing only in confirmation
-// depth (or any knob that can only postpone decisions) have evolved
-// identically — resuming the deeper run from the shallower run's
-// checkpoint replays the exact suffix a from-scratch run would produce,
-// skipping the shared prefix.
-//
-// A Checkpoint is immutable after capture: every resume clones the memory
-// again, so one checkpoint serves many sweep points, concurrently.
-type Checkpoint struct {
-	Mem    *appendmem.Memory
-	Now    sim.Time
-	Grants int
+// windowed arms retirement for a run: every party that can still append
+// must expose a reachability floor, or no retirement bound exists.
+func (r *run) windowed(rule HonestRule) error {
+	for _, nd := range r.nodes {
+		if _, ok := nd.rule.(WindowedRule); nd.rule != nil && !ok {
+			return fmt.Errorf("agreement: window requires a rule with reachability floors; %T has none", rule)
+		}
+	}
+	if r.cfg.T > 0 {
+		wa, ok := r.adversary.(WindowedAdversary)
+		if !ok {
+			return fmt.Errorf("agreement: window requires an adversary with reachability floors; %T has none", r.adversary)
+		}
+		r.winAdv = wa
+	}
+	r.retireTick = r.retire
+	return nil
+}
 
-	// AuthoritySeq and AuthorityAt restart grant numbering and the pending
-	// grant instant; the inter-arrival draw behind AuthorityAt was already
-	// consumed, which is why the authority rng state alone is not enough.
-	AuthoritySeq int
-	AuthorityAt  sim.Time
-
-	AuthorityRng xrand.State
-	AdversaryRng xrand.State
-	NodeRngs     []xrand.State
-
-	CrashAt   []sim.Time
-	ReadAt    []sim.Time
-	ViewSizes []int
+// retire runs every Δ: take the minimum reachability floor over the
+// parties that can still append (decided and dead nodes never append
+// again), keep at least Window messages live, compact every index to that
+// watermark and retire the memory below it.
+func (r *run) retire() {
+	if r.done {
+		return
+	}
+	mem := r.mem
+	w := mem.Len() - r.cfg.Window
+	for i := 0; i < len(r.nodes) && w > mem.Watermark(); i++ {
+		id := appendmem.NodeID(i)
+		wr, ok := r.nodes[i].rule.(WindowedRule)
+		if !ok || !r.alive(id) || r.outcome.Decided[id] {
+			continue
+		}
+		if f := wr.ViewFloor(); f < w {
+			w = f
+		}
+	}
+	if r.winAdv != nil && w > mem.Watermark() {
+		if f := r.winAdv.ViewFloor(); f < w {
+			w = f
+		}
+	}
+	if w > mem.Watermark() {
+		for _, nd := range r.nodes {
+			if wr, ok := nd.rule.(WindowedRule); ok {
+				wr.CompactTo(w)
+			}
+		}
+		if r.winAdv != nil {
+			r.winAdv.CompactTo(w)
+		}
+		mem.Retire(w)
+	}
+	r.sim.After(sim.Time(r.cfg.Delta), r.retireTick)
 }
