@@ -80,8 +80,10 @@ distributed:
 	echo "distributed smoke: byte-identical, warm run fully cache-served"
 
 # Adversary-search smoke (~5s): a small-budget search must beat or match
-# the hand-coded preset it started from, and every promoted counterexample
-# committed under examples/scenarios/ must still reproduce its violation.
+# the hand-coded preset it started from, the same search sharded across two
+# worker processes must find the same best candidate without losing a
+# worker, and every promoted counterexample committed under
+# examples/scenarios/ must still reproduce its violation.
 SEARCH_ARGS ?= -protocol chain -n 9 -t 3 -lambda 0.5 -k 41 -tiebreak adversarial \
 	-attack fork -budget 960 -rungs 8,32 -seed 1
 search-smoke:
@@ -89,10 +91,15 @@ search-smoke:
 	$(GO) build -o $$tmp/amsearch ./cmd/amsearch; \
 	$$tmp/amsearch $(SEARCH_ARGS) | tee $$tmp/out.txt; \
 	grep -q '^best: ' $$tmp/out.txt; \
+	$$tmp/amsearch $(SEARCH_ARGS) -distribute 2 | tee $$tmp/dist.txt; \
+	grep '^best: ' $$tmp/out.txt > $$tmp/best.txt; \
+	grep '^best: ' $$tmp/dist.txt > $$tmp/dist-best.txt; \
+	cmp $$tmp/best.txt $$tmp/dist-best.txt; \
+	grep -q '^fleet: .* lost=0$$' $$tmp/dist.txt; \
 	for f in examples/scenarios/searched-*.json; do \
 		$$tmp/amsearch -replay $$f; \
 	done; \
-	echo "search smoke: search ran, all promoted counterexamples reproduce"
+	echo "search smoke: search ran, the distributed search matched it with no lost workers, all promoted counterexamples reproduce"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -124,6 +124,30 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 	}
 }
 
+// One fleet serves many Runs, as amsearch's candidates share one
+// -distribute fleet: a Run leaves the worker sessions open, so the second
+// Run dispatches every lease to the same workers without losing one.
+func TestFleetServesConsecutiveRuns(t *testing.T) {
+	workers := []Transport{Loopback(), Loopback()}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	cfg := Config{Workers: workers, ChunkSize: 3, LeaseTimeout: 10 * time.Second}
+	for i, spec := range quickSpecs()[:2] {
+		local := mustRunLocal(t, spec)
+		dist, stats, err := Run(spec, cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		assertSameResult(t, spec, local, dist)
+		if stats.LostWorker != 0 || stats.Inline != 0 || stats.Dispatched != stats.Leases {
+			t.Fatalf("run %d: the fleet did not serve every lease: %+v", i, stats)
+		}
+	}
+}
+
 // Deterministic lease failures (here: a metric invalid for the bound
 // protocol at extraction... impossible post-Bind, so use a worker-side
 // panic) must abort with the lease identified, not retry forever.

@@ -15,8 +15,7 @@ func TestProcessWorkersMatchLocal(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	for _, spec := range quickSpecs() {
-		// One worker fleet per run: a Run consumes its workers (the
-		// coordinator ends the session with bye), exactly as amrun does.
+		// One worker fleet per run, exactly as amrun does.
 		procs := spawnProcWorkers(t, 3)
 		local := mustRunLocal(t, spec)
 		dist, stats, err := Run(spec, Config{Workers: transports(procs), ChunkSize: 3})

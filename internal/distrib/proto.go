@@ -43,8 +43,6 @@ const (
 	// failure (bind error, trial panic). Never retried: the same lease
 	// would fail everywhere.
 	msgError msgType = "error"
-	// msgBye (coordinator → worker) ends the session; the worker exits.
-	msgBye msgType = "bye"
 )
 
 // Msg is the single wire envelope. Fields are populated per Type.

@@ -51,9 +51,9 @@ func runLease(bound *boundEntry, lo, hi int) (vals [][]float64, err error) {
 }
 
 // Serve runs the worker side of the protocol on one transport until the
-// coordinator says bye or the stream closes: answer the hello, then turn
-// every lease into a result (or a deterministic error). The worker runs
-// one lease at a time — parallelism inside a lease comes from the
+// coordinator closes the stream: answer the hello, then turn every lease
+// into a result (or a deterministic error), across any number of Run
+// calls on the coordinator's side. The worker runs one lease at a time — parallelism inside a lease comes from the
 // process-wide trial pool, and parallelism across leases from the
 // coordinator driving many workers.
 func Serve(t Transport) error {
@@ -80,8 +80,6 @@ func Serve(t Transport) error {
 			return err
 		}
 		switch m.Type {
-		case msgBye:
-			return nil
 		case msgLease:
 			if m.Spec == nil {
 				return fmt.Errorf("distrib: lease %d without a spec", m.ID)
