@@ -34,8 +34,8 @@ cover:
 # record under a different name (e.g. make bench BENCH=BENCH_local.json).
 BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 3
-BENCH ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
+BENCH ?= BENCH_PR14.json
+BENCH_BASE ?= BENCH_PR10.json
 BENCH_THRESHOLD ?= 0.35
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | $(GO) run ./cmd/benchjson -o $(BENCH)

@@ -22,7 +22,7 @@ func TestRunAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"chain", chainba.Rule{TB: chain.FirstTieBreaker{}}, 1356},
-		{"dag", dagba.Rule{Pivot: dagba.Ghost}, 3708},
+		{"dag", dagba.Rule{Pivot: dagba.Ghost}, 520},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := agreement.RandomizedConfig{N: 9, T: 3, Lambda: 0.5, K: 41, Crashes: 1, Seed: 5}

@@ -35,8 +35,10 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/appendmem"
 )
@@ -44,10 +46,10 @@ import (
 // Dag indexes the multi-parent structure of a view. Blocks with any parent
 // reference outside the view are dangling and excluded (with the append
 // memory this needs a malformed reference, since parents always precede
-// children). All per-block data lives in slices indexed by MsgID minus the
-// compaction origin `off`; the parent-keyed slices use index int(id)+1-off
-// so the virtual genesis (appendmem.None) — or, after a Compact, the
-// anchor block off-1 — occupies slot 0.
+// children). All per-block data lives in one record per block, indexed by
+// MsgID minus the compaction origin `off`. The index keeps only what the
+// pivot rules and the orderings read: no child lists (tips come from the
+// parent edges, and every traversal walks towards the genesis).
 //
 // Once compaction is engaged the index caches parents, values and
 // (author, seq), so every query is answered from the index alone: a
@@ -58,15 +60,12 @@ type Dag struct {
 	built int // number of view-prefix blocks ingested
 	size  int // non-dangling blocks, including frozen ones
 
-	off       int                 // first live id; per-id slices index id-off
-	inDag     []bool              // by id-off
-	depth     []int32             // longest all-parent path; genesis children = 1; 0 = dangling
-	treeDepth []int32             // selected-parent tree depth; 0 = dangling
-	weight    []int32             // selected-parent subtree size
-	children  [][]appendmem.MsgID // by parent id+1-off, over all parent edges
-	treeKids  [][]appendmem.MsgID // by parent id+1-off, selected-parent tree
-	ghostBest []appendmem.MsgID   // by parent id+1-off: earliest heaviest tree kid; None when childless
-	parent    []appendmem.MsgID   // selected parent, cached to avoid Message lookups on hot walks
+	off    int     // first live id; blocks index id-off
+	blocks []block // by id-off
+	// rootBest is the ghostBest slot of the virtual genesis (appendmem.None)
+	// or, after a Compact, of the anchor block off-1: the pivot walks'
+	// starting point.
+	rootBest appendmem.MsgID
 
 	// Structure caches, materialized by the first Compact and maintained
 	// by extend from then on: a windowed memory may retire messages the
@@ -96,15 +95,30 @@ type Dag struct {
 	frozenVals      []int64
 	anchorTreeDepth int32
 
-	// Epoch-stamped scratch for the traversal helpers: a slot is "visited"
-	// in the current traversal iff its stamp equals the current epoch, so
-	// clearing between traversals is a counter increment, not an O(V) wipe.
-	visited      []uint64
+	// Epoch counters for the blocks' visited/ordered stamps, and scratch
+	// buffers the traversals and OrderedValues reuse.
 	visitEpoch   uint64
-	ordered      []uint64
 	orderedEpoch uint64
 	dfsStack     []appendmem.MsgID
 	epochBuf     []appendmem.MsgID
+	orderBuf     []appendmem.MsgID
+}
+
+// block is the index's record of one id; a dangling block keeps the
+// record extend appends (not inDag, zero depths).
+type block struct {
+	depth     int32 // longest all-parent path; genesis children = 1
+	treeDepth int32 // selected-parent tree depth
+	weight    int32 // selected-parent subtree size
+	inDag     bool
+	parent    appendmem.MsgID // selected parent, cached to avoid Message lookups on hot walks
+	ghostBest appendmem.MsgID // earliest heaviest selected-parent kid; None when childless
+
+	// Epoch stamps: the block is visited (ordered) in the current
+	// traversal iff its stamp equals the Dag's visitEpoch (orderedEpoch),
+	// so clearing between traversals is a counter increment, not an O(V)
+	// wipe.
+	visited, ordered uint64
 }
 
 // SelectedParent returns the block's selected parent: Parents[0], or None
@@ -120,17 +134,10 @@ func SelectedParent(msg *appendmem.Message) appendmem.MsgID {
 func Build(view appendmem.View) *Dag {
 	d := &Dag{
 		view:        view,
-		inDag:       make([]bool, 0, view.Size()),
-		depth:       make([]int32, 0, view.Size()),
-		treeDepth:   make([]int32, 0, view.Size()),
-		weight:      make([]int32, 0, view.Size()),
-		children:    make([][]appendmem.MsgID, 1, view.Size()+1),
-		treeKids:    make([][]appendmem.MsgID, 1, view.Size()+1),
-		ghostBest:   make([]appendmem.MsgID, 1, view.Size()+1),
-		parent:      make([]appendmem.MsgID, 0, view.Size()),
+		blocks:      make([]block, 0, view.Size()),
+		rootBest:    appendmem.None,
 		bestTreeTip: appendmem.None,
 	}
-	d.ghostBest[0] = appendmem.None
 	d.extend(view.Size())
 	return d
 }
@@ -195,7 +202,7 @@ func (d *Dag) track() {
 	d.authorSeq = make([]int64, d.built-d.off)
 	for id := appendmem.MsgID(d.off); int(id) < d.built; id++ {
 		idx := int(id) - d.off
-		if !d.inDag[idx] {
+		if !d.blocks[idx].inDag {
 			continue
 		}
 		msg := d.view.Message(id)
@@ -235,76 +242,44 @@ func (d *Dag) authorSeqOf(id appendmem.MsgID) int64 {
 func (d *Dag) extend(size int) {
 	for id := appendmem.MsgID(d.built); int(id) < size; id++ {
 		msg := d.view.Message(id)
-		idx := int(id) - d.off
 		ok := true
 		var maxDepth int32
 		for _, p := range msg.Parents {
 			if p == appendmem.None {
 				continue
 			}
-			if int(p) < d.off || !d.inDag[int(p)-d.off] {
+			if int(p) < d.off || !d.blocks[int(p)-d.off].inDag {
 				ok = false // dangling: parent invisible, dangling or frozen away
 				break
 			}
-			if d.depth[int(p)-d.off] > maxDepth {
-				maxDepth = d.depth[int(p)-d.off]
-			}
+			maxDepth = max(maxDepth, d.blocks[int(p)-d.off].depth)
 		}
 		// Grow the per-id slots (zero values = dangling).
-		d.inDag = append(d.inDag, false)
-		d.depth = append(d.depth, 0)
-		d.treeDepth = append(d.treeDepth, 0)
-		d.weight = append(d.weight, 0)
-		d.children = append(d.children, nil)
-		d.treeKids = append(d.treeKids, nil)
-		d.ghostBest = append(d.ghostBest, appendmem.None)
-		d.parent = append(d.parent, appendmem.None)
+		d.blocks = append(d.blocks, block{parent: appendmem.None, ghostBest: appendmem.None})
 		if d.tracking {
 			d.parents = append(d.parents, nil)
 			d.value = append(d.value, 0)
 			d.authorSeq = append(d.authorSeq, 0)
 		}
-		d.visited = append(d.visited, 0)
-		d.ordered = append(d.ordered, 0)
 		if !ok {
 			continue
 		}
-		d.inDag[idx] = true
+		b := &d.blocks[len(d.blocks)-1]
+		b.inDag = true
 		d.size++
-		d.depth[idx] = maxDepth + 1
+		b.depth = maxDepth + 1
 		if d.tracking {
+			idx := len(d.blocks) - 1
 			d.parents[idx] = d.internParents(msg.Parents)
 			d.value[idx] = msg.Value
 			d.authorSeq[idx] = int64(msg.Author)<<32 | int64(msg.Seq)
 		}
-		if int(d.depth[idx]) > d.height {
-			d.height = int(d.depth[idx])
-		}
-		// Child edges (one per distinct parent) and tip maintenance: every
-		// referenced parent stops being childless, the new block becomes the
-		// (largest-id) tip.
-		if len(msg.Parents) == 0 {
-			if d.off == 0 {
-				d.children[0] = append(d.children[0], id)
-			} // else: a fresh root after Compact — no genesis slot remains
-		} else {
-			for i, p := range msg.Parents {
-				dup := false
-				for _, q := range msg.Parents[:i] {
-					if q == p {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				if ci := int(p) + 1 - d.off; ci >= 0 {
-					d.children[ci] = append(d.children[ci], id)
-				}
-				if p != appendmem.None {
-					d.dropTip(p)
-				}
+		d.height = max(d.height, int(b.depth))
+		// Tip maintenance: every referenced parent stops being childless,
+		// the new block becomes the (largest-id) tip.
+		for _, p := range msg.Parents {
+			if p != appendmem.None {
+				d.dropTip(p)
 			}
 		}
 		d.tips = append(d.tips, id)
@@ -315,29 +290,21 @@ func (d *Dag) extend(size int) {
 		// anchor: the frozen pivot prefix no longer competes, so its
 		// weights need not stay current.
 		sp := SelectedParent(msg)
-		d.parent[idx] = sp
-		if si := int(sp) + 1 - d.off; si >= 0 {
-			d.treeKids[si] = append(d.treeKids[si], id)
+		b.parent = sp
+		b.treeDepth = 1
+		if sp != appendmem.None {
+			b.treeDepth = d.blocks[int(sp)-d.off].treeDepth + 1
 		}
-		if sp == appendmem.None {
-			d.treeDepth[idx] = 1
-		} else {
-			d.treeDepth[idx] = d.treeDepth[int(sp)-d.off] + 1
+		if b.treeDepth > d.bestTreeDepth {
+			d.bestTreeDepth, d.bestTreeTip = b.treeDepth, id
 		}
-		if d.treeDepth[idx] > d.bestTreeDepth {
-			d.bestTreeDepth, d.bestTreeTip = d.treeDepth[idx], id
-		}
-		d.weight[idx] = 1
-		if int(sp)+1-d.off >= 0 {
-			d.bumpGhostBest(sp, id)
-		}
+		b.weight = 1
+		d.bumpGhostBest(sp, id)
 		for p := sp; int(p) >= d.off; {
-			d.weight[int(p)-d.off]++
-			pp := d.parent[int(p)-d.off]
-			if int(pp)+1-d.off >= 0 {
-				d.bumpGhostBest(pp, p)
-			}
-			p = pp
+			pb := &d.blocks[int(p)-d.off]
+			pb.weight++
+			d.bumpGhostBest(pb.parent, p)
+			p = pb.parent
 		}
 	}
 	d.built = size
@@ -353,20 +320,37 @@ func (d *Dag) dropTip(p appendmem.MsgID) {
 	}
 }
 
-// bumpGhostBest re-establishes "ghostBest[p] is the earliest-arrived
+// bestSlot returns p's ghostBest slot: rootBest for the genesis (None)
+// or, after a Compact, the anchor off-1; nil for a fresh root's None
+// parent after a Compact, which has no slot.
+func (d *Dag) bestSlot(p appendmem.MsgID) *appendmem.MsgID {
+	switch i := int(p) - d.off; {
+	case i >= 0:
+		return &d.blocks[i].ghostBest
+	case i == -1:
+		return &d.rootBest
+	}
+	return nil
+}
+
+// bumpGhostBest re-establishes "p's ghostBest is the earliest-arrived
 // maximum-weight selected-parent kid of p" after kid's weight grew by one.
 // Increments preserve the invariant with a single comparison: kid either
 // was the best (still is), strictly passes the best, or ties it — and a tie
 // goes to the earlier arrival, matching the from-scratch arrival-order scan.
 func (d *Dag) bumpGhostBest(p, kid appendmem.MsgID) {
-	slot := int(p) + 1 - d.off
-	cur := d.ghostBest[slot]
-	if cur == kid {
+	slot := d.bestSlot(p)
+	if slot == nil || *slot == kid {
 		return
 	}
-	if cur == appendmem.None || d.weight[int(kid)-d.off] > d.weight[int(cur)-d.off] ||
-		(d.weight[int(kid)-d.off] == d.weight[int(cur)-d.off] && kid < cur) {
-		d.ghostBest[slot] = kid
+	cur := *slot
+	if cur == appendmem.None {
+		*slot = kid
+		return
+	}
+	wk, wc := d.blocks[int(kid)-d.off].weight, d.blocks[int(cur)-d.off].weight
+	if wk > wc || (wk == wc && kid < cur) {
+		*slot = kid
 	}
 }
 
@@ -390,7 +374,7 @@ func (d *Dag) belowWatermark(id appendmem.MsgID) {
 // It panics for blocks frozen below the compaction watermark.
 func (d *Dag) Contains(id appendmem.MsgID) bool {
 	d.belowWatermark(id)
-	return id >= 0 && int(id) < d.built && d.inDag[int(id)-d.off]
+	return id >= 0 && int(id) < d.built && d.blocks[int(id)-d.off].inDag
 }
 
 // Depth returns the block's depth (genesis children have depth 1) and
@@ -399,7 +383,7 @@ func (d *Dag) Depth(id appendmem.MsgID) (int, bool) {
 	if !d.Contains(id) {
 		return 0, false
 	}
-	return int(d.depth[int(id)-d.off]), true
+	return int(d.blocks[int(id)-d.off].depth), true
 }
 
 // Weight returns the selected-parent subtree size of the block (the GHOST
@@ -410,7 +394,7 @@ func (d *Dag) Weight(id appendmem.MsgID) int {
 	if !d.Contains(id) {
 		return 0
 	}
-	return int(d.weight[int(id)-d.off])
+	return int(d.blocks[int(id)-d.off].weight)
 }
 
 // Tips returns the blocks with no children over any parent edge — the set
@@ -423,41 +407,24 @@ func (d *Dag) Tips() []appendmem.MsgID {
 	return append([]appendmem.MsgID(nil), d.tips...)
 }
 
-// kids returns the child list slot for id (None — or the compaction
-// anchor — maps to slot 0); nil when id is outside the indexed range.
-func (d *Dag) kids(of [][]appendmem.MsgID, id appendmem.MsgID) []appendmem.MsgID {
-	slot := int(id) + 1 - d.off
-	if slot < 0 || slot >= len(of) {
-		return nil
-	}
-	return of[slot]
-}
-
-// Children returns the blocks that list id among their parents (None for
-// genesis children), in arrival order.
-func (d *Dag) Children(id appendmem.MsgID) []appendmem.MsgID {
-	return append([]appendmem.MsgID(nil), d.kids(d.children, id)...)
-}
-
 // GhostPivot returns the pivot chain chosen by the GHOST rule: from the
 // genesis, repeatedly descend into the selected-parent child with the
 // largest subtree weight, breaking ties by arrival order. Oldest first;
 // empty for an empty DAG. The heaviest-kid choice is maintained
 // incrementally on Extend, so retrieval is O(pivot length).
-// After a Compact the walk starts at the anchor (slot 0) and the returned
-// chain is the live pivot segment; the frozen prefix is fixed and already
-// folded into OrderedValues.
+// After a Compact the walk starts at the anchor (rootBest) and the
+// returned chain is the live pivot segment; the frozen prefix is fixed and
+// already folded into OrderedValues. The pivot is no deeper than the
+// deepest tree block, so the walk allocates once.
 func (d *Dag) GhostPivot() []appendmem.MsgID {
-	var pivot []appendmem.MsgID
-	slot := 0
-	for {
-		best := d.ghostBest[slot]
-		if best == appendmem.None {
-			return pivot
-		}
-		pivot = append(pivot, best)
-		slot = int(best) + 1 - d.off
+	if d.rootBest == appendmem.None {
+		return nil
 	}
+	pivot := make([]appendmem.MsgID, 0, d.bestTreeDepth-d.anchorTreeDepth)
+	for best := d.rootBest; best != appendmem.None; best = d.blocks[int(best)-d.off].ghostBest {
+		pivot = append(pivot, best)
+	}
+	return pivot
 }
 
 // LongestPivot returns the pivot chain chosen by the longest-chain rule
@@ -473,7 +440,7 @@ func (d *Dag) LongestPivot() []appendmem.MsgID {
 	cur := d.bestTreeTip
 	for i := n - 1; i >= 0; i-- {
 		pivot[i] = cur
-		cur = d.parent[int(cur)-d.off]
+		cur = d.blocks[int(cur)-d.off].parent
 	}
 	return pivot
 }
@@ -490,7 +457,7 @@ func (d *Dag) PastCone(id appendmem.MsgID) []appendmem.MsgID {
 	}
 	d.visitEpoch++
 	e := d.visitEpoch
-	d.visited[int(id)-d.off] = e
+	d.blocks[int(id)-d.off].visited = e
 	stack := append(d.dfsStack[:0], id)
 	cone := []appendmem.MsgID{id}
 	for len(stack) > 0 {
@@ -500,15 +467,15 @@ func (d *Dag) PastCone(id appendmem.MsgID) []appendmem.MsgID {
 			if p == appendmem.None || int(p) < d.off {
 				continue
 			}
-			if d.visited[int(p)-d.off] != e {
-				d.visited[int(p)-d.off] = e
+			if pb := &d.blocks[int(p)-d.off]; pb.visited != e {
+				pb.visited = e
 				cone = append(cone, p)
 				stack = append(stack, p)
 			}
 		}
 	}
 	d.dfsStack = stack
-	sort.Slice(cone, func(i, j int) bool { return cone[i] < cone[j] })
+	slices.Sort(cone)
 	return cone
 }
 
@@ -523,10 +490,10 @@ func (d *Dag) IsAncestor(a, b appendmem.MsgID) bool {
 	if a == b {
 		return true
 	}
-	da := d.depth[int(a)-d.off]
+	da := d.blocks[int(a)-d.off].depth
 	d.visitEpoch++
 	e := d.visitEpoch
-	d.visited[int(b)-d.off] = e
+	d.blocks[int(b)-d.off].visited = e
 	stack := append(d.dfsStack[:0], b)
 	found := false
 	for len(stack) > 0 && !found {
@@ -540,11 +507,13 @@ func (d *Dag) IsAncestor(a, b appendmem.MsgID) bool {
 			// Ancestor ids strictly decrease and depths strictly decrease
 			// along parent edges: anything older or shallower than a cannot
 			// lead back to it. (a >= off, so frozen parents prune here too.)
-			if p == appendmem.None || p < a || d.depth[int(p)-d.off] <= da || d.visited[int(p)-d.off] == e {
+			if p == appendmem.None || p < a {
 				continue
 			}
-			d.visited[int(p)-d.off] = e
-			stack = append(stack, p)
+			if pb := &d.blocks[int(p)-d.off]; pb.depth > da && pb.visited != e {
+				pb.visited = e
+				stack = append(stack, p)
+			}
 		}
 	}
 	d.dfsStack = stack[:0]
@@ -557,12 +526,23 @@ func (d *Dag) IsAncestor(a, b appendmem.MsgID) bool {
 // the pivot block last in its epoch. Since every ancestor has strictly
 // smaller depth, the result is a linear extension of the DAG's ancestry
 // order. Blocks outside the pivot tip's past cone are not ordered (they
-// will be, once a later pivot block references them).
+// will be, once a later pivot block references them). The returned slice
+// is the caller's.
 func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
-	var order []appendmem.MsgID
+	return d.linearize(nil, pivot, math.MaxInt)
+}
+
+// linearize appends Linearize's order to buf[:0], stopping after the
+// epoch that brings it to at least limit ids. The last epoch is ordered
+// whole: the positions inside it depend on its full sort.
+func (d *Dag) linearize(buf, pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
+	order := buf[:0]
 	d.orderedEpoch++
 	oe := d.orderedEpoch
 	for _, pb := range pivot {
+		if len(order) >= limit {
+			break
+		}
 		// Epoch members: ancestors of pb not ordered by earlier pivot
 		// blocks. The DFS stops at already-ordered blocks, so each block
 		// is visited once across the whole linearization (amortized
@@ -572,42 +552,41 @@ func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
 		// DFS treats them exactly like earlier-epoch blocks and stops.
 		d.visitEpoch++
 		ve := d.visitEpoch
-		d.visited[int(pb)-d.off] = ve
+		d.blocks[int(pb)-d.off].visited = ve
 		epoch := d.epochBuf[:0]
 		stack := d.dfsStack[:0]
-		for _, p := range d.parentsOf(pb) {
-			if p != appendmem.None && int(p) >= d.off && d.ordered[int(p)-d.off] != oe && d.visited[int(p)-d.off] != ve {
-				d.visited[int(p)-d.off] = ve
-				stack = append(stack, p)
-			}
-		}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			epoch = append(epoch, cur)
+		for cur := pb; ; {
 			for _, p := range d.parentsOf(cur) {
-				if p != appendmem.None && int(p) >= d.off && d.ordered[int(p)-d.off] != oe && d.visited[int(p)-d.off] != ve {
-					d.visited[int(p)-d.off] = ve
+				if p == appendmem.None || int(p) < d.off {
+					continue
+				}
+				if b := &d.blocks[int(p)-d.off]; b.ordered != oe && b.visited != ve {
+					b.visited = ve
 					stack = append(stack, p)
 				}
 			}
+			if len(stack) == 0 {
+				break
+			}
+			cur = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			epoch = append(epoch, cur)
 		}
 		d.dfsStack = stack
-		sort.Slice(epoch, func(i, j int) bool {
-			ii, jj := int(epoch[i])-d.off, int(epoch[j])-d.off
-			if d.depth[ii] != d.depth[jj] {
-				return d.depth[ii] < d.depth[jj]
+		// (depth, author<<32|seq) is a strict total order — Seq is unique
+		// per author register — so any sort algorithm yields this order.
+		slices.SortFunc(epoch, func(a, b appendmem.MsgID) int {
+			if c := cmp.Compare(d.blocks[int(a)-d.off].depth, d.blocks[int(b)-d.off].depth); c != 0 {
+				return c
 			}
-			// authorSeq packs (author, seq) so one compare is the
-			// lexicographic tie-break.
-			return d.authorSeqOf(epoch[i]) < d.authorSeqOf(epoch[j])
+			return cmp.Compare(d.authorSeqOf(a), d.authorSeqOf(b))
 		})
 		for _, id := range epoch {
-			d.ordered[int(id)-d.off] = oe
+			d.blocks[int(id)-d.off].ordered = oe
 			order = append(order, id)
 		}
 		d.epochBuf = epoch[:0]
-		d.ordered[int(pb)-d.off] = oe
+		d.blocks[int(pb)-d.off].ordered = oe
 		order = append(order, pb)
 	}
 	return order
@@ -615,18 +594,20 @@ func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
 
 // OrderedValues returns the values of the first k blocks in the
 // linearization of the given pivot — the decision input of Algorithm 6
-// Line 10. Fewer than k when the ordering is shorter. After a Compact the
-// frozen prefix supplies the leading values and pivot is the live segment
-// (what GhostPivot/LongestPivot return), so decisions are unchanged by
+// Line 10. Fewer than k when the ordering is shorter. Only the epochs
+// covering the first k positions are ordered, into an index-owned buffer;
+// the returned slice is the only allocation. After a Compact the frozen
+// prefix supplies the leading values and pivot is the live segment (what
+// GhostPivot/LongestPivot return), so decisions are unchanged by
 // retirement.
 func (d *Dag) OrderedValues(pivot []appendmem.MsgID, k int) []int64 {
 	if k <= len(d.frozenVals) {
 		return append([]int64(nil), d.frozenVals[:k]...)
 	}
-	order := d.Linearize(pivot)
-	if rest := k - len(d.frozenVals); len(order) > rest {
-		order = order[:rest]
-	}
+	rest := k - len(d.frozenVals)
+	order := d.linearize(d.orderBuf, pivot, rest)
+	d.orderBuf = order
+	order = order[:min(len(order), rest)]
 	vals := make([]int64, 0, len(d.frozenVals)+len(order))
 	vals = append(vals, d.frozenVals...)
 	for _, id := range order {
@@ -658,7 +639,8 @@ func (d *Dag) TipFloor() appendmem.MsgID {
 // growing, frozen siblings never catch up), and under (b) the prefix of
 // the linearization up to the anchor is fixed, so its values are frozen
 // into frozenVals and the dense slices are rebased in place — dropping the
-// retired ids' slots and handing the anchor the virtual-genesis slot 0.
+// retired ids' slots and handing the anchor the virtual genesis's
+// ghostBest slot, rootBest.
 //
 // Compact is conservative: when no anchor at or below reqW qualifies
 // (e.g. a fork off the deep past is still live), it declines and returns
@@ -689,15 +671,9 @@ func (d *Dag) Compact(reqW int) int {
 	// (a fresh slice: Linearize reuses the shared scratch buffers).
 	var seg []appendmem.MsgID
 	cand := appendmem.None
-	slot := 0
-	for {
-		best := d.ghostBest[slot]
-		if best == appendmem.None || int(best) >= limit {
-			break
-		}
+	for best := d.rootBest; best != appendmem.None && int(best) < limit; best = d.blocks[int(best)-d.off].ghostBest {
 		cand = best
 		seg = append(seg, best)
-		slot = int(best) + 1 - d.off
 	}
 	if cand == appendmem.None {
 		return d.off
@@ -707,16 +683,16 @@ func (d *Dag) Compact(reqW int) int {
 	// marking pass suffices.
 	d.visitEpoch++
 	e := d.visitEpoch
-	d.visited[int(cand)-d.off] = e
-	for i := int(cand) + 1 - d.off; i < len(d.inDag); i++ {
-		if !d.inDag[i] {
+	d.blocks[int(cand)-d.off].visited = e
+	for i := int(cand) + 1 - d.off; i < len(d.blocks); i++ {
+		if !d.blocks[i].inDag {
 			continue
 		}
-		sp := d.parent[i]
-		if int(sp) < d.off || d.visited[int(sp)-d.off] != e {
+		sp := d.blocks[i].parent
+		if int(sp) < d.off || d.blocks[int(sp)-d.off].visited != e {
 			return d.off
 		}
-		d.visited[i] = e
+		d.blocks[i].visited = e
 	}
 	// (b) Every live block at or below the candidate must be in its past
 	// cone — otherwise the cone walk skipping frozen parents would miss
@@ -724,7 +700,7 @@ func (d *Dag) Compact(reqW int) int {
 	// satisfied (b) at their own retirement, so the walk prunes there.
 	d.orderedEpoch++
 	oe := d.orderedEpoch
-	d.ordered[int(cand)-d.off] = oe
+	d.blocks[int(cand)-d.off].ordered = oe
 	stack := append(d.dfsStack[:0], cand)
 	covered := 1
 	for len(stack) > 0 {
@@ -734,8 +710,8 @@ func (d *Dag) Compact(reqW int) int {
 			if p == appendmem.None || int(p) < d.off {
 				continue
 			}
-			if d.ordered[int(p)-d.off] != oe {
-				d.ordered[int(p)-d.off] = oe
+			if pb := &d.blocks[int(p)-d.off]; pb.ordered != oe {
+				pb.ordered = oe
 				covered++
 				stack = append(stack, p)
 			}
@@ -743,8 +719,8 @@ func (d *Dag) Compact(reqW int) int {
 	}
 	d.dfsStack = stack[:0]
 	live := 0
-	for i := 0; i <= int(cand)-d.off; i++ {
-		if d.inDag[i] {
+	for _, b := range d.blocks[:int(cand)+1-d.off] {
+		if b.inDag {
 			live++
 		}
 	}
@@ -755,33 +731,26 @@ func (d *Dag) Compact(reqW int) int {
 	// this orders exactly the live blocks at or below it, extending
 	// frozenVals by the same values the full index's linearization holds
 	// at those positions.
-	order := d.Linearize(seg)
+	order := d.linearize(d.orderBuf, seg, math.MaxInt)
+	d.orderBuf = order
 	if len(order) != live {
 		panic(fmt.Sprintf("dag: Compact froze %d blocks, expected %d", len(order), live))
 	}
 	for _, id := range order {
 		d.frozenVals = append(d.frozenVals, d.value[int(id)-d.off])
 	}
-	d.anchorTreeDepth = d.treeDepth[int(cand)-d.off]
+	anchor := d.blocks[int(cand)-d.off]
+	d.anchorTreeDepth = anchor.treeDepth
+	d.rootBest = anchor.ghostBest
 
-	// Rebase all dense slices in place: live data shifts down by
-	// newOff-off; the anchor's parent-keyed slots land on slot 0.
-	newOff := int(cand) + 1
-	shift := newOff - d.off
-	d.inDag = d.inDag[:copy(d.inDag, d.inDag[shift:])]
-	d.depth = d.depth[:copy(d.depth, d.depth[shift:])]
-	d.treeDepth = d.treeDepth[:copy(d.treeDepth, d.treeDepth[shift:])]
-	d.weight = d.weight[:copy(d.weight, d.weight[shift:])]
-	d.parent = d.parent[:copy(d.parent, d.parent[shift:])]
+	// Rebase the dense slices in place: the records up to the anchor
+	// drop out, the live ones shift to the front.
+	shift := int(cand) + 1 - d.off
+	d.blocks = d.blocks[:copy(d.blocks, d.blocks[shift:])]
 	d.parents = d.parents[:copy(d.parents, d.parents[shift:])]
 	d.value = d.value[:copy(d.value, d.value[shift:])]
 	d.authorSeq = d.authorSeq[:copy(d.authorSeq, d.authorSeq[shift:])]
-	d.visited = d.visited[:copy(d.visited, d.visited[shift:])]
-	d.ordered = d.ordered[:copy(d.ordered, d.ordered[shift:])]
-	d.children = d.children[:copy(d.children, d.children[shift:])]
-	d.treeKids = d.treeKids[:copy(d.treeKids, d.treeKids[shift:])]
-	d.ghostBest = d.ghostBest[:copy(d.ghostBest, d.ghostBest[shift:])]
-	d.off = newOff
+	d.off = int(cand) + 1
 	return d.off
 }
 

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,14 +173,33 @@ func TestDanglingExcluded(t *testing.T) {
 	}
 }
 
+// childrenOf derives from the parent edges the blocks that list id among
+// their parents, in arrival order, each once. The index keeps no child
+// lists; this is the test's own reference.
+func childrenOf(d *Dag, id appendmem.MsgID) []appendmem.MsgID {
+	var kids []appendmem.MsgID
+	view := d.View()
+	for c := id + 1; int(c) < view.Size(); c++ {
+		if d.Contains(c) && slices.Contains(view.Message(c).Parents, id) {
+			kids = append(kids, c)
+		}
+	}
+	return kids
+}
+
 func TestDuplicateParentEdges(t *testing.T) {
 	m := appendmem.New(2)
 	g := m.Writer(0).MustAppend(0, 0, nil)
 	c := m.Writer(1).MustAppend(1, 0, []appendmem.MsgID{g.ID, g.ID})
 	d := Build(m.Read())
-	kids := d.Children(g.ID)
-	if len(kids) != 1 || kids[0] != c.ID {
+	if kids := childrenOf(d, g.ID); len(kids) != 1 || kids[0] != c.ID {
 		t.Fatalf("duplicate parent created duplicate child edges: %v", kids)
+	}
+	if tips := d.Tips(); len(tips) != 1 || tips[0] != c.ID {
+		t.Fatalf("tips = %v, want [%d]", tips, c.ID)
+	}
+	if order := d.Linearize(d.GhostPivot()); !equalIDs(order, []appendmem.MsgID{g.ID, c.ID}) {
+		t.Fatalf("linearization %v, want [%d %d]", order, g.ID, c.ID)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,9 +146,6 @@ func assertSameDag(t *testing.T, step int, inc, ref *Dag) {
 		if inc.Weight(id) != ref.Weight(id) {
 			t.Fatalf("prefix %d: weight(%d) %d vs %d", step, id, inc.Weight(id), ref.Weight(id))
 		}
-		if !equalIDs(inc.Children(id), ref.Children(id)) {
-			t.Fatalf("prefix %d: children(%d) differ", step, id)
-		}
 		if !equalIDs(inc.PastCone(id), ref.PastCone(id)) {
 			t.Fatalf("prefix %d: past cone(%d) differs", step, id)
 		}
@@ -244,5 +242,64 @@ func TestExtendRejectsForeignView(t *testing.T) {
 			}()
 			d.Extend(bad)
 		}()
+	}
+}
+
+// TestDifferentialOrderedValuesPrefix: OrderedValues orders only the
+// epochs that cover its first k positions. On every prefix of randomized
+// histories, for both pivot rules, on a plain and on a Compacted index,
+// OrderedValues(pivot, k) must equal the frozen values followed by the
+// values of the full Linearize(pivot), cut to k, for every k up to past
+// the end. A slice Linearize returned is the caller's: later
+// OrderedValues, Extend and Compact calls must leave it unchanged.
+func TestDifferentialOrderedValuesPrefix(t *testing.T) {
+	histories := []func(*xrand.PCG, int) *appendmem.Memory{adversarialHistory, recentDagHistory}
+	rules := []func(*Dag) []appendmem.MsgID{(*Dag).GhostPivot, (*Dag).LongestPivot}
+	compacted := 0
+	for _, history := range histories {
+		for seed := uint64(1); seed <= 6; seed++ {
+			m := history(xrand.New(seed, 31), 60)
+			safe := safeWatermarks(m)
+			plain, pruned := Build(m.ViewAt(0)), Build(m.ViewAt(0))
+			var held, heldCopy [][]appendmem.MsgID
+			for s := 1; s <= m.Len(); s++ {
+				plain.Extend(m.ViewAt(s))
+				pruned.Extend(m.ViewAt(s))
+				if pruned.Compact(safe[s]) > 0 {
+					compacted++
+				}
+				var orders [][]appendmem.MsgID
+				for _, d := range []*Dag{plain, pruned} {
+					for r, rule := range rules {
+						pivot := rule(d)
+						order := d.Linearize(pivot)
+						orders = append(orders, order)
+						want := slices.Clone(d.frozenVals)
+						for _, id := range order {
+							want = append(want, d.valueOf(id))
+						}
+						for k := 0; k <= len(want)+2; k++ {
+							got := d.OrderedValues(pivot, k)
+							if !slices.Equal(got, want[:min(k, len(want))]) {
+								t.Fatalf("seed %d prefix %d rule %d watermark %d: OrderedValues(%d) = %v, want %v",
+									seed, s, r, d.off, k, got, want[:min(k, len(want))])
+							}
+						}
+					}
+				}
+				for i := range held {
+					if !slices.Equal(held[i], heldCopy[i]) {
+						t.Fatalf("seed %d prefix %d: a Linearize result changed under later calls", seed, s)
+					}
+				}
+				held, heldCopy = orders, nil
+				for _, o := range orders {
+					heldCopy = append(heldCopy, slices.Clone(o))
+				}
+			}
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("no history ever allowed retirement; the compacted half is vacuous")
 	}
 }
