@@ -26,19 +26,28 @@ cover:
 	$(GO) test ./... -cover
 
 # One benchmark per experiment plus substrate micro-benches. The run is
-# piped through cmd/benchjson, which echoes the human-readable output and
-# writes the machine-readable record to $(BENCH). Each benchmark runs
-# BENCHCOUNT times and benchjson records the per-metric minimum, which
-# filters out scheduling/GC interference spikes; override BENCHTIME for
-# steadier numbers still (e.g. make bench BENCHTIME=1s) and BENCH to
-# record under a different name (e.g. make bench BENCH=BENCH_local.json).
+# piped through cmd/benchjson, which echoes the human-readable output,
+# writes the machine-readable record to $(BENCH) and diffs it against
+# $(BENCH_BASE) (see bench-diff). Each benchmark runs BENCHCOUNT times and
+# benchjson records the per-metric minimum, which filters out
+# scheduling/GC interference spikes; override BENCHTIME for steadier
+# numbers still (e.g. make bench BENCHTIME=1s) and BENCH to record under a
+# different name (e.g. make bench BENCH=BENCH_local.json). The runner
+# sizes its chunks by GOMAXPROCS, so the dispatch pair's allocs/op depend
+# on the core count: they always run at -cpu=$(DISPATCH_CPU), here and in
+# CI's gate, so records from different boxes compare.
 BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 3
-BENCH ?= BENCH_PR14.json
-BENCH_BASE ?= BENCH_PR10.json
+BENCH ?= BENCH_PR15.json
+BENCH_BASE ?= BENCH_PR14.json
 BENCH_THRESHOLD ?= 0.35
+DISPATCH_BENCH = ^Benchmark(TrialsDispatch|TrialsReduceDispatch)$$
+DISPATCH_CPU ?= 2
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | $(GO) run ./cmd/benchjson -o $(BENCH)
+	{ $(GO) test -run='^$$' -bench=. -skip='$(DISPATCH_BENCH)' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT); \
+	  $(GO) test -run='^$$' -bench='$(DISPATCH_BENCH)' -cpu=$(DISPATCH_CPU) -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT); } \
+	  | $(GO) run ./cmd/benchjson -o $(BENCH)
+	$(MAKE) --no-print-directory bench-diff
 
 # Diff the committed benchmark records: fails if any B/op or allocs/op
 # metric in $(BENCH) regressed more than BENCH_THRESHOLD (fractional)

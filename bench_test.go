@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/agreement/chainba"
@@ -537,6 +538,51 @@ func BenchmarkGossipFlood10k_ScaleFree(b *testing.B) {
 	benchGossipFlood(b, b.Name(), func() *topology.Graph {
 		return topology.BarabasiAlbert(xrand.New(42, 7), 10000, 3, 0.1)
 	})
+}
+
+// BenchmarkVisibilityFlood_SmallWorld256 times the topology harness's
+// view layer (access.Visibility) on the dag-gossip graph shape: 256 nodes,
+// Watts–Strogatz k=2 β=0.2, 0.1 link latency, uniform delays. Each
+// iteration is one trial's worth of floods on a pooled tracker — a fresh
+// memory, the tracker rebound to it, 32 appends 0.08 apart (about the
+// aggregate append rate of n=256 at λ=0.05) so floods overlap, drained to
+// quiescence. allocs/op and B/op are the fresh memory's plus whatever the
+// warm tracker fails to reuse, a pure function of the fixed schedule.
+func BenchmarkVisibilityFlood_SmallWorld256(b *testing.B) {
+	const n, appends, gap = 256, 32, 0.08
+	g := topology.WattsStrogatz(xrand.New(42, 7), n, 2, 0.2, 0.1)
+	dm := topology.DelayModel{Kind: topology.DelayUniform}
+	s := sim.New()
+	vis := &access.Visibility{}
+	var mem *appendmem.Memory
+	appendAt := make([]func(), appends)
+	for i := range appendAt {
+		author := appendmem.NodeID(i * 37 % n)
+		appendAt[i] = func() {
+			mem.Writer(author).MustAppend(1, 0, nil)
+			vis.Sync()
+		}
+	}
+	trial := func(seed uint64) {
+		s.Reset()
+		mem = appendmem.New(n)
+		vis.Rebind(s, xrand.New(seed, 1), g, dm, mem)
+		for i, fn := range appendAt {
+			s.At(sim.Time(float64(i)*gap), fn)
+		}
+		s.Run()
+		if vis.Deliveries() != appends*(n-1) {
+			b.Fatalf("%d deliveries, want %d", vis.Deliveries(), appends*(n-1))
+		}
+	}
+	for seed := uint64(0); seed < 8; seed++ {
+		trial(seed) // grow the pooled tracker and the event heap
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial(uint64(i % 8))
+	}
 }
 
 // BenchmarkWindowedMemory1M drives a million-step horizon through a

@@ -71,12 +71,19 @@ func visCases() []visCase {
 
 // visTrace runs one case a simulator event at a time and records every
 // arrival as "msg node time-bits" in the order the arrivals happen, then
-// the mean lag's bits and the delivery count.
-func visTrace(c visCase) string {
+// the mean lag's bits and the delivery count. A nil pooled builds a fresh
+// tracker; otherwise pooled is rebound to the case and unbound after it.
+func visTrace(c visCase, pooled *Visibility) string {
 	n := c.g.N()
 	s := sim.New()
 	mem := appendmem.New(n)
-	v := NewVisibility(s, xrand.New(c.seed, 1), c.g, c.dm, mem)
+	v := pooled
+	if v == nil {
+		v = NewVisibility(s, xrand.New(c.seed, 1), c.g, c.dm, mem)
+	} else {
+		v.Rebind(s, xrand.New(c.seed, 1), c.g, c.dm, mem)
+		defer v.Unbind()
+	}
 	authors := 0
 	for i, t := range c.at {
 		k := c.batch[i]
@@ -110,18 +117,45 @@ func visTrace(c visCase) string {
 	return b.String()
 }
 
+// cutOff binds v to c on a throwaway simulator and abandons it with floods
+// still in flight, as a trial ended by a decision does.
+func cutOff(c visCase, v *Visibility) {
+	s := sim.New()
+	mem := appendmem.New(c.g.N())
+	v.Rebind(s, xrand.New(c.seed+1, 1), c.g, c.dm, mem)
+	defer v.Unbind()
+	for i := 0; i < 3; i++ {
+		mem.Writer(appendmem.NodeID(i)).MustAppend(int64(i), 0, nil)
+	}
+	v.Sync()
+	for i := 0; i < c.g.N() && s.Step(); i++ {
+	}
+}
+
 // TestVisibilityTraceGolden pins every arrival of five flood scenarios —
 // which node saw which message at which exact instant, in arrival order —
 // and the mean lag, byte-for-byte. The cases cover a uniform-delay
 // small-world graph, equal-time arrivals on a fixed-delay grid, a
 // long-tail k=1 ring, the implicit complete graph, and appends landing
-// while earlier floods are still in flight.
+// while earlier floods are still in flight. One tracker rebound from case
+// to case (graphs of different sizes, floods abandoned mid-flight by
+// cutOff) must trace exactly like fresh ones.
 func TestVisibilityTraceGolden(t *testing.T) {
-	var b strings.Builder
+	var b, rebound strings.Builder
+	pooled := &Visibility{}
 	for _, c := range visCases() {
-		b.WriteString(visTrace(c))
+		b.WriteString(visTrace(c, nil))
+		cutOff(c, pooled)
+		rebound.WriteString(visTrace(c, pooled))
+		if len(pooled.freeFlood) != len(pooled.floods) || len(pooled.freeHop) != len(pooled.hops) {
+			t.Fatalf("%s: %d of %d flood records and %d of %d hop slots free after quiescence",
+				c.name, len(pooled.freeFlood), len(pooled.floods), len(pooled.freeHop), len(pooled.hops))
+		}
 	}
 	got := b.String()
+	if rebound.String() != got {
+		t.Fatal("a rebound tracker traced differently from fresh ones")
+	}
 	path := filepath.Join("testdata", "visibility_trace.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

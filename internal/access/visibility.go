@@ -23,10 +23,18 @@ import (
 // until the gap fills. The prefix rule makes per-node views valid Views
 // while preserving "later reads see no less".
 //
-// Determinism: floods run on the simulator's event heap with a dedicated
-// rng; every draw happens inside an event callback, so per-node views are
-// a pure function of (graph, delay model, rng state, append order) and
-// byte-identical at any worker count.
+// Determinism: every delay is drawn inside an event callback from a
+// dedicated rng, one draw per relay to a neighbor the message has not yet
+// reached, so per-node views are a pure function of (graph, delay model,
+// rng state, append order) and byte-identical at any worker count.
+//
+// Cost: a relay whose arrival time cannot beat a hop already pending to
+// the same node for the same message still draws its delay but is never
+// scheduled (it could only be a duplicate). Every surviving hop is one
+// simulator event bound to a pooled slot, and the per-node earliest
+// pending arrivals live in per-flood records recycled when a flood's last
+// hop fires, so this state is O(floods in flight · n). DESIGN.md §11
+// explains why both shortcuts leave every arrival unchanged.
 type Visibility struct {
 	s   *sim.Sim
 	rng *xrand.PCG
@@ -40,52 +48,89 @@ type Visibility struct {
 	arrived   [][]uint64 // per-node arrival bitset over message indexes
 	prefix    []int      // per-node maximal fully-arrived prefix length
 
-	hops []visHop // in-flight relay hops, min-heap on (at, seq)
-	hseq uint64
-	tick func() // bound drain, allocated once
+	floods    []flood // flood records, in flight or free
+	freeFlood []int32
+	hops      []hop // hop slots, each bound to its own simulator event
+	freeHop   []int32
 
 	totalLag   float64 // summed (arrival − announce) over non-author arrivals
 	deliveries int     // number of non-author arrivals
 }
 
-// visHop is one in-flight link transmission of a flooded announcement.
-type visHop struct {
-	at       sim.Time
-	seq      uint64
-	msg      int32 // message index being flooded
-	to, from int32 // receiving node; inbound neighbor
+// flood is the record of one message's flood while hops of it are
+// pending: eta[j] is the earliest arrival time of a pending hop to node
+// j, 0 when none was scheduled (hop times are always positive).
+type flood struct {
+	msg     int32
+	pending int32 // scheduled hops not yet fired
+	eta     []sim.Time
 }
 
-func (h *visHop) before(o *visHop) bool {
-	if h.at != o.at {
-		return h.at < o.at
-	}
-	return h.seq < o.seq
+// hop is one in-flight link transmission: flood record fl reaching node
+// to. fire is the slot's simulator event, bound once when the slot is
+// first used.
+type hop struct {
+	fl, to int32
+	fire   func()
 }
 
 // NewVisibility creates the visibility tracker for mem over graph g. The
 // graph's node count must match the memory's; link latencies are in
 // simulator time units.
 func NewVisibility(s *sim.Sim, rng *xrand.PCG, g *topology.Graph, dm topology.DelayModel, mem *appendmem.Memory) *Visibility {
-	if g.N() != mem.NumNodes() {
+	v := &Visibility{}
+	v.Rebind(s, rng, g, dm, mem)
+	return v
+}
+
+// Rebind resets v to a fresh tracker for mem over g, as NewVisibility
+// would build it, keeping the grown bitsets, flood records and hop slots
+// so a pooled tracker floods a new trial without re-growing them. s must
+// hold none of v's old hops (a new or Reset simulator). A zero Visibility
+// is ready for Rebind.
+func (v *Visibility) Rebind(s *sim.Sim, rng *xrand.PCG, g *topology.Graph, dm topology.DelayModel, mem *appendmem.Memory) {
+	n := g.N()
+	if n != mem.NumNodes() {
 		panic("access: topology size does not match memory")
 	}
 	eps := sim.Time(g.MinLatency() / 1e9)
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	v := &Visibility{
-		s:       s,
-		rng:     rng,
-		g:       g,
-		dm:      dm,
-		mem:     mem,
-		eps:     eps,
-		arrived: make([][]uint64, g.N()),
-		prefix:  make([]int, g.N()),
+	v.s, v.rng, v.g, v.dm, v.mem, v.eps = s, rng, g, dm, mem, eps
+	v.announced, v.announce = 0, v.announce[:0]
+	v.totalLag, v.deliveries = 0, 0
+	if cap(v.arrived) < n {
+		v.arrived = append(v.arrived[:cap(v.arrived)], make([][]uint64, n-cap(v.arrived))...)
+		v.prefix = make([]int, n)
 	}
-	v.tick = v.drain
-	return v
+	v.arrived, v.prefix = v.arrived[:n], v.prefix[:n]
+	for id := range v.arrived {
+		v.arrived[id] = v.arrived[id][:0]
+		v.prefix[id] = 0
+	}
+	v.freeFlood = v.freeFlood[:0]
+	for i := range v.floods {
+		f := &v.floods[i]
+		if cap(f.eta) < n {
+			f.eta = make([]sim.Time, n)
+		}
+		f.eta = f.eta[:n]
+		clear(f.eta)
+		f.pending = 0
+		v.freeFlood = append(v.freeFlood, int32(i))
+	}
+	v.freeHop = v.freeHop[:0]
+	for i := range v.hops {
+		v.freeHop = append(v.freeHop, int32(i))
+	}
+}
+
+// Unbind drops v's references to the finished trial's simulator, rng,
+// graph and memory, keeping only its own grown storage for the next
+// Rebind.
+func (v *Visibility) Unbind() {
+	v.s, v.rng, v.g, v.mem = nil, nil, nil, nil
 }
 
 // Sync floods every message appended to the memory since the last call.
@@ -110,7 +155,9 @@ func (v *Visibility) Sync() {
 		// The author's own arrival: immediate, lag-free, no inbound link.
 		bitSet(v.arrived[author], i)
 		v.advancePrefix(author)
-		v.relayFrom(int32(i), author, -1)
+		fl := v.openFlood(int32(i))
+		v.relay(fl, author)
+		v.settle(fl)
 	}
 	v.announced = n
 }
@@ -123,40 +170,100 @@ func (v *Visibility) advancePrefix(node int) {
 	}
 }
 
-// relayFrom schedules one hop of the flood to every neighbor of node
-// except the inbound one.
-func (v *Visibility) relayFrom(msg int32, node int, inbound int32) {
-	v.g.Neighbors(node, func(j int, lat float64) bool {
-		if int32(j) == inbound {
-			return true
-		}
-		if bitGet(v.arrived[j], int(msg)) {
-			return true // already there; skip the redundant transmission
-		}
-		delay := sim.Time(v.dm.Sample(lat, v.rng))
-		if delay <= 0 {
-			delay = v.eps
-		}
-		v.hseq++
-		v.push(visHop{at: v.s.Now() + delay, seq: v.hseq, msg: msg, to: int32(j), from: int32(node)})
-		v.s.After(delay, v.tick)
-		return true
-	})
+// openFlood takes a free flood record (all eta unset) for msg.
+func (v *Visibility) openFlood(msg int32) int32 {
+	var fl int32
+	if k := len(v.freeFlood); k > 0 {
+		fl = v.freeFlood[k-1]
+		v.freeFlood = v.freeFlood[:k-1]
+	} else {
+		fl = int32(len(v.floods))
+		v.floods = append(v.floods, flood{eta: make([]sim.Time, len(v.arrived))})
+	}
+	v.floods[fl].msg = msg
+	return fl
 }
 
-// drain fires the earliest in-flight hop; duplicates are suppressed by the
-// arrival bitset.
-func (v *Visibility) drain() {
-	h := v.pop()
-	node := int(h.to)
-	if bitGet(v.arrived[node], int(h.msg)) {
+// settle recycles flood record fl once none of its hops is pending: no
+// hop of the message can be scheduled again, because relays happen only
+// when one fires.
+func (v *Visibility) settle(fl int32) {
+	f := &v.floods[fl]
+	if f.pending == 0 {
+		clear(f.eta)
+		v.freeFlood = append(v.freeFlood, fl)
+	}
+}
+
+// relay sends flood fl on from node to every neighbor it has not reached.
+// The inbound neighbor needs no special case: the message has arrived
+// there.
+func (v *Visibility) relay(fl int32, node int) {
+	if v.g.IsComplete() {
+		v.g.Neighbors(node, func(j int, lat float64) bool {
+			v.send(fl, j, lat)
+			return true
+		})
 		return
 	}
-	bitSet(v.arrived[node], int(h.msg))
-	v.advancePrefix(node)
-	v.totalLag += float64(v.s.Now()) - v.announce[h.msg]
-	v.deliveries++
-	v.relayFrom(h.msg, node, h.from)
+	ts, lats := v.g.Adj(node)
+	for k, j := range ts {
+		v.send(fl, int(j), lats[k])
+	}
+}
+
+// send draws the delay of one transmission of flood fl to node j and
+// schedules its arrival, unless the message is already at j or a pending
+// hop reaches j no later: on an equal time the pending hop fires first,
+// having been scheduled first.
+func (v *Visibility) send(fl int32, j int, lat float64) {
+	f := &v.floods[fl]
+	if bitGet(v.arrived[j], int(f.msg)) {
+		return // already there; skip the redundant transmission
+	}
+	delay := sim.Time(v.dm.Sample(lat, v.rng))
+	if delay <= 0 {
+		delay = v.eps
+	}
+	at := v.s.Now() + delay
+	if eta := f.eta[j]; eta != 0 && at >= eta {
+		return
+	}
+	f.eta[j] = at
+	f.pending++
+	h := v.takeHop()
+	v.hops[h].fl, v.hops[h].to = fl, int32(j)
+	v.s.At(at, v.hops[h].fire)
+}
+
+// takeHop returns a free hop slot, binding a new slot's event on first
+// use.
+func (v *Visibility) takeHop() int32 {
+	if k := len(v.freeHop); k > 0 {
+		h := v.freeHop[k-1]
+		v.freeHop = v.freeHop[:k-1]
+		return h
+	}
+	h := int32(len(v.hops))
+	v.hops = append(v.hops, hop{fire: func() { v.arrive(h) }})
+	return h
+}
+
+// arrive fires hop slot h: the first arrival of its message at its node
+// is delivered and relayed on, a later one is dropped.
+func (v *Visibility) arrive(h int32) {
+	fl, node := v.hops[h].fl, int(v.hops[h].to)
+	v.freeHop = append(v.freeHop, h)
+	msg := int(v.floods[fl].msg)
+	if !bitGet(v.arrived[node], msg) {
+		bitSet(v.arrived[node], msg)
+		v.advancePrefix(node)
+		v.totalLag += float64(v.s.Now()) - v.announce[msg]
+		v.deliveries++
+		v.relay(fl, node)
+	}
+	v.floods[fl].pending--
+	v.settle(fl)
 }
 
 // Prefix returns the length of node id's maximal fully-arrived prefix.
@@ -183,49 +290,3 @@ func (v *Visibility) Deliveries() int { return v.deliveries }
 
 func bitGet(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func bitSet(b []uint64, i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// push adds h to the hop min-heap.
-func (v *Visibility) push(h visHop) {
-	hs := append(v.hops, h)
-	i := len(hs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(&hs[parent]) {
-			break
-		}
-		hs[i] = hs[parent]
-		i = parent
-	}
-	hs[i] = h
-	v.hops = hs
-}
-
-// pop removes and returns the minimum hop.
-func (v *Visibility) pop() visHop {
-	hs := v.hops
-	min := hs[0]
-	n := len(hs) - 1
-	last := hs[n]
-	hs = hs[:n]
-	v.hops = hs
-	if n > 0 {
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && hs[r].before(&hs[l]) {
-				m = r
-			}
-			if !hs[m].before(&last) {
-				break
-			}
-			hs[i] = hs[m]
-			i = m
-		}
-		hs[i] = last
-	}
-	return min
-}

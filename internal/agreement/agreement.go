@@ -384,13 +384,14 @@ type run struct {
 	authority authority
 	nodes     []nodeRun
 
-	rngAuthority, rngAdversary xrand.PCG
+	rngAuthority, rngAdversary, rngVis xrand.PCG
 
 	done       bool
 	undecided  int      // correct nodes yet to decide; the run ends at 0
 	stallUntil sim.Time // honest reads black out before it; -1 until the stall fires
 
 	vis        *access.Visibility // topology visibility; nil means uniform Δ
+	pooledVis  *access.Visibility // vis's storage, kept across trials
 	winAdv     WindowedAdversary  // windowed with Byzantine nodes: their floor
 	retireTick func()             // windowed: retire, bound once
 	sink       func(*Checkpoint)  // armed until the first decision
@@ -416,7 +417,7 @@ type authority interface {
 	ResumeAt(seq int, at sim.Time)
 }
 
-var runPool = runner.NewPool(func() *run { return &run{sim: sim.New()} })
+var runPool = runner.NewPool(func() *run { return &run{sim: sim.New(), pooledVis: &access.Visibility{}} })
 
 // release drops every reference into the finished trial (the Memory
 // escapes into the Result) and returns the run to the pool.
@@ -425,7 +426,8 @@ func (r *run) release() {
 	for i := range r.nodes {
 		r.nodes[i] = nodeRun{read: r.nodes[i].read}
 	}
-	*r = run{sim: r.sim, nodes: r.nodes[:0]}
+	r.pooledVis.Unbind()
+	*r = run{sim: r.sim, nodes: r.nodes[:0], pooledVis: r.pooledVis}
 	runPool.Put(r)
 }
 
@@ -452,7 +454,9 @@ func (r *run) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) error 
 		r.mem = appendmem.New(cfg.N)
 	}
 	if cfg.Topology != nil {
-		r.vis = access.NewVisibility(r.sim, root.Split(), cfg.Topology, cfg.TopologyDelay, r.mem)
+		r.rngVis = *root.Split()
+		r.pooledVis.Rebind(r.sim, &r.rngVis, cfg.Topology, cfg.TopologyDelay, r.mem)
+		r.vis = r.pooledVis
 	}
 	r.roster = node.NewRoster(cfg.N, cfg.T).WithCrashes(cfg.Crashes)
 	r.outcome = node.NewOutcome(cfg.N)
