@@ -35,14 +35,15 @@ cover:
 # different name (e.g. make bench BENCH=BENCH_local.json). The runner
 # sizes its chunks by GOMAXPROCS, so the dispatch pair's allocs/op depend
 # on the core count: they always run at -cpu=$(DISPATCH_CPU), here and in
-# CI's gate, so records from different boxes compare.
+# CI's gate (ci.yml repeats the value), so records from different boxes
+# compare.
 BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 3
 BENCH ?= BENCH_PR15.json
 BENCH_BASE ?= BENCH_PR14.json
 BENCH_THRESHOLD ?= 0.35
 DISPATCH_BENCH = ^Benchmark(TrialsDispatch|TrialsReduceDispatch)$$
-DISPATCH_CPU ?= 2
+DISPATCH_CPU = 2
 bench:
 	{ $(GO) test -run='^$$' -bench=. -skip='$(DISPATCH_BENCH)' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT); \
 	  $(GO) test -run='^$$' -bench='$(DISPATCH_BENCH)' -cpu=$(DISPATCH_CPU) -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT); } \

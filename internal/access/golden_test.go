@@ -179,3 +179,19 @@ func TestVisibilityTraceGolden(t *testing.T) {
 		t.Fatalf("visibility trace length %d lines, want %d", len(gl), len(wl))
 	}
 }
+
+// TestVisibilityRebindGrows rebinds one pooled tracker to graphs that grow
+// a node at a time, across the points where the per-node storage's spare
+// capacity runs out and where it does not, and holds every run to a fresh
+// tracker's trace.
+func TestVisibilityRebindGrows(t *testing.T) {
+	pooled := &Visibility{}
+	for _, n := range []int{4, 5, 6, 7, 8, 9, 11, 12, 13, 3, 17} {
+		at := []float64{0, 0.05, 0.3}
+		c := visCase{fmt.Sprintf("ring-%d", n), topology.Ring(n, 1, 0.1),
+			topology.DelayModel{Kind: topology.DelayUniform}, uint64(n), at, []int{1, 2, 1}}
+		if got, want := visTrace(c, pooled), visTrace(c, nil); got != want {
+			t.Fatalf("n=%d: a rebound tracker traced differently from a fresh one", n)
+		}
+	}
+}

@@ -102,6 +102,8 @@ func (v *Visibility) Rebind(s *sim.Sim, rng *xrand.PCG, g *topology.Graph, dm to
 	v.totalLag, v.deliveries = 0, 0
 	if cap(v.arrived) < n {
 		v.arrived = append(v.arrived[:cap(v.arrived)], make([][]uint64, n-cap(v.arrived))...)
+	}
+	if cap(v.prefix) < n {
 		v.prefix = make([]int, n)
 	}
 	v.arrived, v.prefix = v.arrived[:n], v.prefix[:n]

@@ -99,3 +99,20 @@ func TestTopologyWithAdversaryAndAsync(t *testing.T) {
 		t.Fatalf("run did nothing: %+v", a)
 	}
 }
+
+// TestTopologyPooledRunGrows runs topology trials of growing then
+// shrinking N back to back, so the pooled run's visibility tracker is
+// rebound to larger graphs than it last held, and holds each trial to the
+// same trial run in the opposite order.
+func TestTopologyPooledRunGrows(t *testing.T) {
+	ns := []int{4, 5, 6, 7, 8, 9, 11, 12, 13, 17}
+	up := make(map[int]string, len(ns))
+	for _, n := range ns {
+		up[n] = fingerprint(MustRun(ringCfg(3, n), countRule{}, Silent{}))
+	}
+	for i := len(ns) - 1; i >= 0; i-- {
+		if got := fingerprint(MustRun(ringCfg(3, ns[i]), countRule{}, Silent{})); got != up[ns[i]] {
+			t.Fatalf("n=%d: trial after a larger one diverged:\n%s\n%s", ns[i], got, up[ns[i]])
+		}
+	}
+}
