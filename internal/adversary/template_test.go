@@ -1,7 +1,10 @@
 package adversary_test
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,6 +104,91 @@ func TestDagPresetsByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+var updatePresets = flag.Bool("update", false, "rewrite testdata/presets.golden")
+
+// presetTrace fingerprints every preset run the golden pins: the three
+// chain presets under each tie-break rule and the three DAG presets under
+// each pivot rule, seeds 1–8 each, in a fixed order.
+func presetTrace() string {
+	chainPresets := []struct {
+		name string
+		p    adversary.Params
+	}{
+		{"fork", adversary.Params{ForkCount: 1, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}},
+		{"tiebreak", adversary.Params{ForkCount: 0, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}},
+		{"equivocate", adversary.Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: adversary.TargetFirst, Fanout: 1}},
+	}
+	tbs := []struct {
+		name string
+		tb   chain.TieBreaker
+	}{
+		{"first", chain.FirstTieBreaker{}},
+		{"random", chain.RandomTieBreaker{}},
+		{"adversarial", chain.AdversarialTieBreaker{
+			IsByzantine: func(id appendmem.NodeID) bool { return int(id) >= 10-3 },
+		}},
+	}
+	dagPresets := []struct {
+		name string
+		p    adversary.Params
+	}{
+		{"private-chain", adversary.Params{Root: adversary.RootPivot, Segment: 1, Fanout: 1}},
+		{"last-minute", adversary.Params{Root: adversary.RootPivot, Segment: 1, StartWithin: 6, Fanout: 1}},
+		{"private-fork", adversary.Params{Root: adversary.RootGenesis, Segment: 0, Fanout: 1}},
+	}
+	var b strings.Builder
+	for _, c := range chainPresets {
+		for _, tb := range tbs {
+			for seed := uint64(1); seed <= 8; seed++ {
+				cfg := agreement.RandomizedConfig{N: 10, T: 3, Lambda: 1, K: 21, Seed: seed}
+				r := agreement.MustRun(cfg, chainba.Rule{TB: tb.tb}, &adversary.ChainAttack{P: c.p})
+				fmt.Fprintf(&b, "== %s/%s seed %d\n%s", c.name, tb.name, seed, fingerprint(r))
+			}
+		}
+	}
+	for _, c := range dagPresets {
+		for _, pivot := range []dagba.PivotRule{dagba.Ghost, dagba.Longest} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				cfg := agreement.RandomizedConfig{N: 10, T: 4, Lambda: 1, K: 21, Seed: seed}
+				r := agreement.MustRun(cfg, dagba.Rule{Pivot: pivot}, &adversary.DagAttack{P: c.p, Pivot: pivot})
+				fmt.Fprintf(&b, "== %s/%v seed %d\n%s", c.name, pivot, seed, fingerprint(r))
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestPresetsGolden pins every preset run byte-for-byte against
+// testdata/presets.golden, which was written while the hand-coded
+// strategies the presets reproduce still existed and matched them run for
+// run. Rewrite it with -update only for an intended behaviour change.
+func TestPresetsGolden(t *testing.T) {
+	got := presetTrace()
+	path := filepath.Join("testdata", "presets.golden")
+	if *updatePresets {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("preset runs diverge from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("preset runs diverge from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 
