@@ -17,7 +17,7 @@ import (
 type Params struct {
 	// Withhold delays each produced block: the parents are chosen at grant
 	// time but the append lands Withhold·Δ later (0 = publish immediately,
-	// the legacy behaviour). Shared by both templates.
+	// as every preset does). Shared by both templates.
 	Withhold float64
 
 	// Chain template (ChainAttack).

@@ -36,90 +36,21 @@ func fingerprint(r *agreement.Result) string {
 	return sb.String()
 }
 
-// TestChainPresetsByteIdentical pins the ChainAttack template at the three
-// chain presets byte-identical to the hand-coded adversaries across seeds
-// and tie-break rules.
-func TestChainPresetsByteIdentical(t *testing.T) {
-	cases := []struct {
-		name   string
-		legacy func() agreement.Adversary
-		params adversary.Params
-	}{
-		{"fork", func() agreement.Adversary { return &adversary.ChainForker{} },
-			adversary.Params{ForkCount: 1, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}},
-		{"tiebreak", func() agreement.Adversary { return &adversary.ChainTieBreaker{} },
-			adversary.Params{ForkCount: 0, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}},
-		{"equivocate", func() agreement.Adversary { return &adversary.Equivocator{} },
-			adversary.Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: adversary.TargetFirst, Fanout: 1}},
-	}
-	tbs := map[string]chain.TieBreaker{
-		"first":  chain.FirstTieBreaker{},
-		"random": chain.RandomTieBreaker{},
-		"adversarial": chain.AdversarialTieBreaker{
-			IsByzantine: func(id appendmem.NodeID) bool { return int(id) >= 10-3 },
-		},
-	}
-	for _, c := range cases {
-		for tbName, tb := range tbs {
-			for seed := uint64(1); seed <= 8; seed++ {
-				cfg := agreement.RandomizedConfig{N: 10, T: 3, Lambda: 1, K: 21, Seed: seed}
-				rule := chainba.Rule{TB: tb}
-				want := fingerprint(agreement.MustRun(cfg, rule, c.legacy()))
-				got := fingerprint(agreement.MustRun(cfg, rule, &adversary.ChainAttack{P: c.params}))
-				if want != got {
-					t.Fatalf("%s/%s seed %d: template diverges from legacy\nlegacy:\n%s\ntemplate:\n%s",
-						c.name, tbName, seed, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestDagPresetsByteIdentical pins the DagAttack template at the three DAG
-// presets byte-identical to the hand-coded adversaries across seeds and
-// pivot rules.
-func TestDagPresetsByteIdentical(t *testing.T) {
-	cases := []struct {
-		name   string
-		legacy func(p dagba.PivotRule) agreement.Adversary
-		params adversary.Params
-	}{
-		{"private-chain", func(p dagba.PivotRule) agreement.Adversary { return &adversary.DagChainExtender{Pivot: p} },
-			adversary.Params{Root: adversary.RootPivot, Segment: 1, Fanout: 1}},
-		{"last-minute", func(p dagba.PivotRule) agreement.Adversary { return &adversary.DagLastMinute{Pivot: p} },
-			adversary.Params{Root: adversary.RootPivot, Segment: 1, StartWithin: 6, Fanout: 1}},
-		{"private-fork", func(p dagba.PivotRule) agreement.Adversary { return &adversary.DagPrivateFork{} },
-			adversary.Params{Root: adversary.RootGenesis, Segment: 0, Fanout: 1}},
-	}
-	for _, c := range cases {
-		for _, pivot := range []dagba.PivotRule{dagba.Ghost, dagba.Longest} {
-			for seed := uint64(1); seed <= 8; seed++ {
-				cfg := agreement.RandomizedConfig{N: 10, T: 4, Lambda: 1, K: 21, Seed: seed}
-				rule := dagba.Rule{Pivot: pivot}
-				want := fingerprint(agreement.MustRun(cfg, rule, c.legacy(pivot)))
-				got := fingerprint(agreement.MustRun(cfg, rule, &adversary.DagAttack{P: c.params, Pivot: pivot}))
-				if want != got {
-					t.Fatalf("%s/%v seed %d: template diverges from legacy\nlegacy:\n%s\ntemplate:\n%s",
-						c.name, pivot, seed, want, got)
-				}
-			}
-		}
-	}
-}
-
 var updatePresets = flag.Bool("update", false, "rewrite testdata/presets.golden")
 
-// presetTrace fingerprints every preset run the golden pins: the three
-// chain presets under each tie-break rule and the three DAG presets under
-// each pivot rule, seeds 1–8 each, in a fixed order.
-func presetTrace() string {
-	chainPresets := []struct {
+// presetRun is one pinned preset run: its golden header and fingerprint.
+type presetRun struct{ name, fp string }
+
+// chainPresetRuns runs the three chain presets under each tie-break rule,
+// seeds 1–8 each, in a fixed order.
+func chainPresetRuns() []presetRun {
+	presets := []struct {
 		name string
 		p    adversary.Params
 	}{
-		{"fork", adversary.Params{ForkCount: 1, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}},
-		{"tiebreak", adversary.Params{ForkCount: 0, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}},
-		{"equivocate", adversary.Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: adversary.TargetFirst, Fanout: 1}},
+		{"fork", adversary.Fork},
+		{"tiebreak", adversary.TieBreak},
+		{"equivocate", adversary.Equivocate},
 	}
 	tbs := []struct {
 		name string
@@ -131,66 +62,98 @@ func presetTrace() string {
 			IsByzantine: func(id appendmem.NodeID) bool { return int(id) >= 10-3 },
 		}},
 	}
-	dagPresets := []struct {
-		name string
-		p    adversary.Params
-	}{
-		{"private-chain", adversary.Params{Root: adversary.RootPivot, Segment: 1, Fanout: 1}},
-		{"last-minute", adversary.Params{Root: adversary.RootPivot, Segment: 1, StartWithin: 6, Fanout: 1}},
-		{"private-fork", adversary.Params{Root: adversary.RootGenesis, Segment: 0, Fanout: 1}},
-	}
-	var b strings.Builder
-	for _, c := range chainPresets {
+	var runs []presetRun
+	for _, c := range presets {
 		for _, tb := range tbs {
 			for seed := uint64(1); seed <= 8; seed++ {
 				cfg := agreement.RandomizedConfig{N: 10, T: 3, Lambda: 1, K: 21, Seed: seed}
 				r := agreement.MustRun(cfg, chainba.Rule{TB: tb.tb}, &adversary.ChainAttack{P: c.p})
-				fmt.Fprintf(&b, "== %s/%s seed %d\n%s", c.name, tb.name, seed, fingerprint(r))
+				runs = append(runs, presetRun{fmt.Sprintf("%s/%s seed %d", c.name, tb.name, seed), fingerprint(r)})
 			}
 		}
 	}
-	for _, c := range dagPresets {
+	return runs
+}
+
+// dagPresetRuns runs the three DAG presets under each pivot rule, seeds
+// 1–8 each, in a fixed order.
+func dagPresetRuns() []presetRun {
+	presets := []struct {
+		name string
+		p    adversary.Params
+	}{
+		{"private-chain", adversary.PrivateChain},
+		{"last-minute", adversary.LastMinute},
+		{"private-fork", adversary.PrivateFork},
+	}
+	var runs []presetRun
+	for _, c := range presets {
 		for _, pivot := range []dagba.PivotRule{dagba.Ghost, dagba.Longest} {
 			for seed := uint64(1); seed <= 8; seed++ {
 				cfg := agreement.RandomizedConfig{N: 10, T: 4, Lambda: 1, K: 21, Seed: seed}
 				r := agreement.MustRun(cfg, dagba.Rule{Pivot: pivot}, &adversary.DagAttack{P: c.p, Pivot: pivot})
-				fmt.Fprintf(&b, "== %s/%v seed %d\n%s", c.name, pivot, seed, fingerprint(r))
+				runs = append(runs, presetRun{fmt.Sprintf("%s/%v seed %d", c.name, pivot, seed), fingerprint(r)})
 			}
 		}
 	}
-	return b.String()
+	return runs
 }
 
-// TestPresetsGolden pins every preset run byte-for-byte against
-// testdata/presets.golden, which was written while the hand-coded
-// strategies the presets reproduce still existed and matched them run for
-// run. Rewrite it with -update only for an intended behaviour change.
-func TestPresetsGolden(t *testing.T) {
-	got := presetTrace()
+// checkPresetGolden compares runs against testdata/presets.golden, which
+// holds one "== name" header and fingerprint per run. The golden was
+// written while the hand-coded strategies the presets reproduce still
+// existed and matched them run for run; rewrite it with -update only for
+// an intended behaviour change.
+func checkPresetGolden(t *testing.T, runs []presetRun) {
+	t.Helper()
 	path := filepath.Join("testdata", "presets.golden")
 	if *updatePresets {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		var b strings.Builder
+		for _, r := range append(chainPresetRuns(), dagPresetRuns()...) {
+			fmt.Fprintf(&b, "== %s\n%s", r.name, r.fp)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
-	want, err := os.ReadFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	golden := map[string]string{}
+	var cur string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if name, ok := strings.CutPrefix(line, "== "); ok {
+			cur = strings.TrimSuffix(name, "\n")
+			continue
+		}
+		golden[cur] += line
+	}
+	for _, r := range runs {
+		want, ok := golden[r.name]
+		if !ok {
+			t.Fatalf("%s: run %q missing", path, r.name)
+		}
+		if r.fp == want {
+			continue
+		}
+		gl, wl := strings.Split(r.fp, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("preset runs diverge from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+				t.Fatalf("%s diverges from %s at line %d of the run:\n got: %s\nwant: %s", r.name, path, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("preset runs diverge from %s: %d lines, want %d", path, len(gl), len(wl))
+		t.Fatalf("%s diverges from %s: %d lines, want %d", r.name, path, len(gl), len(wl))
 	}
 }
+
+// TestChainPresetsByteIdentical pins the chain presets under every
+// tie-break rule against the golden.
+func TestChainPresetsByteIdentical(t *testing.T) { checkPresetGolden(t, chainPresetRuns()) }
+
+// TestDagPresetsByteIdentical pins the DAG presets under both pivot rules
+// against the golden.
+func TestDagPresetsByteIdentical(t *testing.T) { checkPresetGolden(t, dagPresetRuns()) }
 
 // TestSchemaValidation exercises the parameter schema: unknown names are
 // rejected with the valid set enumerated, range and kind violations are

@@ -120,13 +120,13 @@ func TestDagSurvivesWhereChainFails(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		cr := agreement.MustRun(agreement.RandomizedConfig{
 			N: 10, T: 4, Lambda: 1, K: 41, Seed: seed,
-		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainTieBreaker{})
+		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainAttack{P: adversary.TieBreak})
 		if !cr.Verdict.Validity {
 			chainFails++
 		}
 		dr := agreement.MustRun(agreement.RandomizedConfig{
 			N: 10, T: 4, Lambda: 1, K: 41, Seed: seed,
-		}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+		}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Ghost})
 		if !dr.Verdict.Validity {
 			dagFails++
 		}
@@ -150,7 +150,7 @@ func TestDagValidityImprovesWithK(t *testing.T) {
 		for seed := uint64(0); seed < 20; seed++ {
 			r := agreement.MustRun(agreement.RandomizedConfig{
 				N: 10, T: 4, Lambda: 1, K: k, Seed: seed,
-			}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+			}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Ghost})
 			if !r.Verdict.Validity {
 				fails++
 			}
@@ -171,7 +171,7 @@ func TestDagLambdaIndependence(t *testing.T) {
 		for seed := uint64(0); seed < 20; seed++ {
 			r := agreement.MustRun(agreement.RandomizedConfig{
 				N: 10, T: 4, Lambda: lam, K: 81, Seed: seed,
-			}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+			}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Ghost})
 			if !r.Verdict.Validity {
 				fails++
 			}
@@ -185,11 +185,12 @@ func TestDagLambdaIndependence(t *testing.T) {
 }
 
 func TestDagPrivateChainInsertsByzantineRuns(t *testing.T) {
-	// The DagChainExtender must produce consecutive Byzantine runs in the
-	// ordering that exceed what honest interleaving would give.
+	// The private-chain preset (DagChainExtender) must produce consecutive
+	// Byzantine runs in the ordering that exceed what honest interleaving
+	// would give.
 	r := agreement.MustRun(agreement.RandomizedConfig{
 		N: 10, T: 4, Lambda: 1, K: 81, Seed: 7,
-	}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+	}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Ghost})
 	d := dag.Build(r.FinalView)
 	order := d.Linearize(d.GhostPivot())
 	if len(order) > 81 {

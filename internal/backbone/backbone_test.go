@@ -60,7 +60,7 @@ func TestHonestChainBackbone(t *testing.T) {
 
 func TestQualityDegradesUnderAttack(t *testing.T) {
 	silent := AnalyzeChain(chainRun(t, 10, 4, 1, 21, agreement.Silent{}), 21)
-	attacked := AnalyzeChain(chainRun(t, 10, 4, 1, 21, &adversary.ChainTieBreaker{}), 21)
+	attacked := AnalyzeChain(chainRun(t, 10, 4, 1, 21, &adversary.ChainAttack{P: adversary.TieBreak}), 21)
 	if attacked.Quality >= silent.Quality {
 		t.Fatalf("quality did not degrade: %v -> %v", silent.Quality, attacked.Quality)
 	}
@@ -72,7 +72,7 @@ func TestQualityDegradesUnderAttack(t *testing.T) {
 func TestDagQualityResists(t *testing.T) {
 	r, err := agreement.RunRandomized(agreement.RandomizedConfig{
 		N: 10, T: 4, Lambda: 1, K: 81, Seed: 5,
-	}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+	}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Ghost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDagQualityResists(t *testing.T) {
 }
 
 func TestChainWastesUnderForks(t *testing.T) {
-	attacked := AnalyzeChain(chainRun(t, 10, 4, 1, 21, &adversary.ChainTieBreaker{}), 21)
+	attacked := AnalyzeChain(chainRun(t, 10, 4, 1, 21, &adversary.ChainAttack{P: adversary.TieBreak}), 21)
 	if attacked.Wasted < 0.2 {
 		t.Fatalf("high-rate attacked chain wasted only %v", attacked.Wasted)
 	}
@@ -111,7 +111,7 @@ func TestQualityImpliesValidityCrossCheck(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		r, err := agreement.RunRandomized(agreement.RandomizedConfig{
 			N: 10, T: 4, Lambda: 0.25, K: 21, Seed: seed,
-		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainTieBreaker{})
+		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainAttack{P: adversary.TieBreak})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestCommonPrefixViolationDetectable(t *testing.T) {
 	for seed := uint64(0); seed < 30 && !found; seed++ {
 		r, err := agreement.RunRandomized(agreement.RandomizedConfig{
 			N: 10, T: 4, Lambda: 2, K: 15, Seed: seed,
-		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainTieBreaker{})
+		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainAttack{P: adversary.TieBreak})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,11 +20,11 @@ import (
 // steady-state rates (Theorems 5.3/5.4) or by bursts already in place
 // (Lemma 5.5); deciding later re-reads the same poisoned prefix. And
 // conversely, the surgical "burst just before the decision" adversary
-// (DagLastMinute) defeats itself: staying silent early makes the prefix
-// overwhelmingly honest, so the late burst cannot flip a k-majority —
-// which is why the effective form of Lemma 5.5's attack is the continuous
-// one, and why its damage is bounded by Θ(λ log n) extra values rather
-// than a takeover.
+// (DagLastMinute, the `last-minute` preset adversary.LastMinute) defeats
+// itself: staying silent early makes the prefix overwhelmingly honest, so
+// the late burst cannot flip a k-majority — which is why the effective
+// form of Lemma 5.5's attack is the continuous one, and why its damage is
+// bounded by Θ(λ log n) extra values rather than a takeover.
 func RunE19(o Options) []*Table {
 	trials := o.trials(50)
 	depths := []int{0, 5, 10, 20}

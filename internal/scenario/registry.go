@@ -412,9 +412,8 @@ func init() {
 		})
 	// The chain and DAG attacks are presets of the two parameterized
 	// templates (adversary.ChainAttack / adversary.DagAttack): each preset
-	// pins the Params point that reproduces the original hand-coded
-	// strategy byte-for-byte (differential tests in internal/adversary),
-	// and attack_params / attack:<param> sweeps move off the preset.
+	// is the adversary package's Params value of the same name, and
+	// attack_params / attack:<param> sweeps move off the preset.
 	chainSchema := adversary.ChainSchema()
 	dagSchema := adversary.DagSchema()
 	Attacks.Register(string(AttackFork),
@@ -422,7 +421,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Chain},
 			Schema:    chainSchema,
-			Preset:    adversary.Params{ForkCount: 1, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1},
+			Preset:    adversary.Fork,
 			New:       chainTemplate(AttackFork),
 		})
 	Attacks.Register(string(AttackTieBreak),
@@ -430,7 +429,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Chain},
 			Schema:    chainSchema,
-			Preset:    adversary.Params{ForkCount: 0, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1},
+			Preset:    adversary.TieBreak,
 			New:       chainTemplate(AttackTieBreak),
 		})
 	Attacks.Register(string(AttackEquivocate),
@@ -438,7 +437,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Chain},
 			Schema:    chainSchema,
-			Preset:    adversary.Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: adversary.TargetFirst, Fanout: 1},
+			Preset:    adversary.Equivocate,
 			New:       chainTemplate(AttackEquivocate),
 		})
 	Attacks.Register(string(AttackPrivateChain),
@@ -446,7 +445,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,
-			Preset:    adversary.Params{Root: adversary.RootPivot, Segment: 1, Fanout: 1},
+			Preset:    adversary.PrivateChain,
 			New:       dagTemplate(AttackPrivateChain),
 		})
 	Attacks.Register(string(AttackLastMinute),
@@ -454,7 +453,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,
-			Preset:    adversary.Params{Root: adversary.RootPivot, Segment: 1, StartWithin: 6, Fanout: 1},
+			Preset:    adversary.LastMinute,
 			New:       dagTemplate(AttackLastMinute),
 		})
 	Attacks.Register(string(AttackPrivateFork),
@@ -462,7 +461,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,
-			Preset:    adversary.Params{Root: adversary.RootGenesis, Segment: 0, Fanout: 1},
+			Preset:    adversary.PrivateFork,
 			New:       dagTemplate(AttackPrivateFork),
 		})
 	Attacks.Register(string(AttackDelayedChain),
