@@ -28,7 +28,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/distrib"
 	"repro/internal/experiments"
-	"repro/internal/msgnet"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -407,7 +406,7 @@ func BenchmarkProtocolRunChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		agreement.MustRun(agreement.RandomizedConfig{
 			N: 10, T: 3, Lambda: 0.5, K: 21, Seed: uint64(i),
-		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainTieBreaker{})
+		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainAttack{P: adversary.TieBreak})
 	}
 }
 
@@ -415,7 +414,7 @@ func BenchmarkProtocolRunDag(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		agreement.MustRun(agreement.RandomizedConfig{
 			N: 10, T: 3, Lambda: 0.5, K: 21, Seed: uint64(i),
-		}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+		}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Ghost})
 	}
 }
 
@@ -443,101 +442,6 @@ func BenchmarkTopologyBarabasiAlbert(b *testing.B) {
 			b.Fatal("bad graph")
 		}
 	}
-}
-
-// BenchmarkGossipFlood times one full broadcast flood over a 64-node k=2
-// ring — sim setup, hop-by-hop relay with duplicate suppression, and the
-// drain to quiescence — the per-append transport cost sparse topologies
-// add on top of the oracle.
-func BenchmarkGossipFlood(b *testing.B) {
-	g := topology.Ring(64, 2, 0.1)
-	dm := topology.DelayModel{Kind: topology.DelayUniform}
-	body := []byte("payload")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := sim.New()
-		nw := msgnet.NewGossip(s, xrand.New(uint64(i), 1), g, dm)
-		delivered := 0
-		for id := 0; id < g.N(); id++ {
-			nw.Register(appendmem.NodeID(id), func(msgnet.Envelope) { delivered++ })
-		}
-		nw.Broadcast(0, "append", body)
-		s.Run()
-		if delivered != g.N() {
-			b.Fatalf("delivered %d of %d", delivered, g.N())
-		}
-	}
-}
-
-// The GossipFlood{1k,10k} family times the steady-state flood hot path
-// at scale: the network is built once (key generation and graph
-// construction excluded), then each iteration runs one full
-// broadcast-and-drain cycle — hop scheduling, duplicate suppression,
-// relay fan-out, delivery — over large sparse graphs. ns/op here is the
-// per-append transport cost of the 10k+-node regimes; allocs/op pins the
-// pooled-everything discipline (payload buffers included).
-type gossipFloodBench struct {
-	g  *topology.Graph
-	s  *sim.Sim
-	nw *msgnet.Network
-}
-
-var gossipFloodNets = map[string]*gossipFloodBench{}
-
-func benchGossipFlood(b *testing.B, name string, mk func() *topology.Graph) {
-	fb := gossipFloodNets[name]
-	if fb == nil {
-		g := mk()
-		s := sim.New()
-		nw := msgnet.NewGossip(s, xrand.New(1, 1), g, topology.DelayModel{Kind: topology.DelayUniform})
-		for id := 0; id < g.N(); id++ {
-			nw.Register(appendmem.NodeID(id), func(msgnet.Envelope) {})
-		}
-		fb = &gossipFloodBench{g: g, s: s, nw: nw}
-		gossipFloodNets[name] = fb
-	}
-	body := []byte("payload")
-	fb.nw.Broadcast(0, "append", body) // warm pools before measuring
-	fb.s.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fb.nw.Broadcast(0, "append", body)
-		fb.s.Run()
-	}
-}
-
-func BenchmarkGossipFlood1k_Ring(b *testing.B) {
-	benchGossipFlood(b, b.Name(), func() *topology.Graph { return topology.Ring(1000, 3, 0.1) })
-}
-
-func BenchmarkGossipFlood1k_SmallWorld(b *testing.B) {
-	benchGossipFlood(b, b.Name(), func() *topology.Graph {
-		return topology.WattsStrogatz(xrand.New(42, 7), 1000, 3, 0.2, 0.1)
-	})
-}
-
-func BenchmarkGossipFlood1k_ScaleFree(b *testing.B) {
-	benchGossipFlood(b, b.Name(), func() *topology.Graph {
-		return topology.BarabasiAlbert(xrand.New(42, 7), 1000, 3, 0.1)
-	})
-}
-
-func BenchmarkGossipFlood10k_Ring(b *testing.B) {
-	benchGossipFlood(b, b.Name(), func() *topology.Graph { return topology.Ring(10000, 3, 0.1) })
-}
-
-func BenchmarkGossipFlood10k_SmallWorld(b *testing.B) {
-	benchGossipFlood(b, b.Name(), func() *topology.Graph {
-		return topology.WattsStrogatz(xrand.New(42, 7), 10000, 3, 0.2, 0.1)
-	})
-}
-
-func BenchmarkGossipFlood10k_ScaleFree(b *testing.B) {
-	benchGossipFlood(b, b.Name(), func() *topology.Graph {
-		return topology.BarabasiAlbert(xrand.New(42, 7), 10000, 3, 0.1)
-	})
 }
 
 // BenchmarkVisibilityFlood_SmallWorld256 times the topology harness's

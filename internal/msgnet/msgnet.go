@@ -10,12 +10,9 @@
 // verification actually runs on every record, so the resilience argument
 // of Lemmas 4.1/4.2 is exercised end to end.
 //
-// Delivery is routed through a pluggable Transport. The default oracle
-// transport (New) is the paper's Δ-bounded assumption made literal: every
-// message is delayed by a uniform draw from (0, MaxDelay], independent of
-// who talks to whom. The gossip transport (NewGossip) drops that
-// assumption and relays over an explicit topology.Graph hop by hop, with
-// per-link sampled delays and duplicate suppression — see gossip.go.
+// Delivery is the paper's Δ-bounded assumption made literal: every pair
+// of nodes is directly connected and every message is delayed by a
+// uniform draw from (0, MaxDelay], independent of who talks to whom.
 // Dropping (for failure injection) is per-receiver via a pluggable filter.
 // The network never corrupts or duplicates; integrity attacks are modelled
 // at the payload layer where the signatures live.
@@ -41,45 +38,25 @@ type Envelope struct {
 // Handler receives delivered envelopes.
 type Handler func(Envelope)
 
-// Stats aggregates traffic accounting. Under the oracle transport,
-// Messages counts logical sends; under gossip it counts link
-// transmissions, so the gossip amplification factor (relays per logical
-// broadcast) is directly visible in the counters.
+// Stats aggregates traffic accounting: Messages counts sends, a broadcast
+// counting one per receiver.
 type Stats struct {
 	Messages int
 	Bytes    int
 	ByKind   map[string]int
 }
 
-// Transport decides how envelopes move from sender to receiver(s). The
-// Network validates and copies payloads, owns keys, stats, the drop filter
-// and the delivery heap; the transport decides delays, routes and relays,
-// using the exported Account/Dropped/DeliverAfter/Rand/Clock helpers.
-type Transport interface {
-	// Name returns the transport's registry name ("oracle", "gossip").
-	Name() string
-	// Unicast schedules delivery of one point-to-point envelope whose
-	// body has already been copied. The transport is responsible for
-	// accounting and for applying the drop filter.
-	Unicast(nw *Network, env Envelope)
-	// Broadcast schedules delivery of one payload from `from` to every
-	// node, including `from` (the paper's broadcast includes the local
-	// append/ack path).
-	Broadcast(nw *Network, from appendmem.NodeID, kind string, body []byte)
-}
-
-// Network is a simulated message-passing network for n nodes, routing
-// through a Transport.
+// Network is a simulated message-passing network for n nodes.
 type Network struct {
-	s         *sim.Sim
-	rng       *xrand.PCG
-	n         int
-	transport Transport
-	handlers  []Handler
-	signers   []*Signer
-	pubs      []ed25519.PublicKey
-	drop      func(Envelope) bool
-	stats     Stats
+	s        *sim.Sim
+	rng      *xrand.PCG
+	n        int
+	maxDelay float64
+	handlers []Handler
+	signers  []*Signer
+	pubs     []ed25519.PublicKey
+	drop     func(Envelope) bool
+	stats    Stats
 
 	// In-flight envelopes, a value-typed min-heap ordered by (at, seq) —
 	// the same key the simulator fires by, so the single bound deliverNext
@@ -106,27 +83,19 @@ func (d *delivery) before(o *delivery) bool {
 	return d.seq < o.seq
 }
 
-// New creates a network of n nodes on simulator s with the oracle
-// transport: delivery delays uniform in (0, maxDelay], any pair directly
-// connected. Keys are derived deterministically from rng. This is the
-// default transport and its rng consumption (one Float64 per send, after
-// the drop filter) is the original msgnet contract — outputs at a given
-// seed are byte-identical to the pre-Transport implementation.
+// New creates a network of n nodes on simulator s with delivery delays
+// uniform in (0, maxDelay], any pair directly connected. Keys are derived
+// deterministically from rng first; after that the network draws one
+// Float64 per send, after the drop filter.
 func New(s *sim.Sim, rng *xrand.PCG, n int, maxDelay float64) *Network {
 	if n <= 0 || maxDelay <= 0 {
 		panic("msgnet: invalid parameters")
 	}
-	nw := newNetwork(s, rng, n)
-	nw.transport = oracle{maxDelay: maxDelay}
-	return nw
-}
-
-// newNetwork builds the transport-independent core: handlers, keys, stats.
-func newNetwork(s *sim.Sim, rng *xrand.PCG, n int) *Network {
 	nw := &Network{
 		s:        s,
 		rng:      rng,
 		n:        n,
+		maxDelay: maxDelay,
 		handlers: make([]Handler, n),
 		signers:  make([]*Signer, n),
 		pubs:     make([]ed25519.PublicKey, n),
@@ -143,9 +112,6 @@ func newNetwork(s *sim.Sim, rng *xrand.PCG, n int) *Network {
 	}
 	return nw
 }
-
-// TransportName returns the name of the installed transport.
-func (nw *Network) TransportName() string { return nw.transport.Name() }
 
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.n }
@@ -185,69 +151,36 @@ func (nw *Network) Stats() Stats {
 	return s
 }
 
-// Send schedules delivery of one message via the transport. Sending to
-// self is delivered like any other message (with delay).
+// Send schedules delivery of one message after a uniform delay in
+// (0, maxDelay]. Sending to self is delivered like any other message (with
+// delay). Dropped messages still count as sent.
 func (nw *Network) Send(from, to appendmem.NodeID, kind string, body []byte) {
 	if to < 0 || int(to) >= nw.n {
 		panic(fmt.Sprintf("msgnet: Send to %d out of range", to))
 	}
 	env := Envelope{From: from, To: to, Kind: kind, Body: append([]byte(nil), body...)}
-	nw.transport.Unicast(nw, env)
+	nw.stats.Messages++
+	nw.stats.Bytes += len(env.Body)
+	nw.stats.ByKind[env.Kind]++
+	if nw.drop != nil && nw.drop(env) {
+		return
+	}
+	delay := sim.Time(nw.rng.Float64() * nw.maxDelay)
+	if delay == 0 {
+		delay = sim.Time(nw.maxDelay / 1e9)
+	}
+	nw.deliverAfter(delay, env)
 }
 
-// Account adds env to the traffic counters as `links` transmissions.
-// Transports call it before applying the drop filter, so dropped messages
-// still count as sent.
-func (nw *Network) Account(env Envelope, links int) {
-	nw.stats.Messages += links
-	nw.stats.Bytes += links * len(env.Body)
-	nw.stats.ByKind[env.Kind] += links
-}
-
-// Dropped applies the failure-injection filter to env.
-func (nw *Network) Dropped(env Envelope) bool { return nw.drop != nil && nw.drop(env) }
-
-// DeliverAfter schedules env for handler delivery after delay, preserving
+// deliverAfter schedules env for handler delivery after delay, preserving
 // the (time, scheduling-order) invariant of the pending heap.
-func (nw *Network) DeliverAfter(delay sim.Time, env Envelope) {
+func (nw *Network) deliverAfter(delay sim.Time, env Envelope) {
 	if nw.tick == nil {
 		nw.tick = nw.deliverNext
 	}
 	nw.dseq++
 	nw.push(delivery{at: nw.s.Now() + delay, seq: nw.dseq, env: env})
 	nw.s.After(delay, nw.tick)
-}
-
-// Rand returns the network's deterministic rng, for transports sampling
-// delays.
-func (nw *Network) Rand() *xrand.PCG { return nw.rng }
-
-// Clock returns the simulator the network schedules on.
-func (nw *Network) Clock() *sim.Sim { return nw.s }
-
-// oracle is the Δ-bounded delivery assumption of the paper: every pair of
-// nodes is directly connected and each send is delayed by one uniform draw
-// from (0, maxDelay].
-type oracle struct{ maxDelay float64 }
-
-func (o oracle) Name() string { return "oracle" }
-
-func (o oracle) Unicast(nw *Network, env Envelope) {
-	nw.Account(env, 1)
-	if nw.Dropped(env) {
-		return
-	}
-	delay := sim.Time(nw.rng.Float64() * o.maxDelay)
-	if delay == 0 {
-		delay = sim.Time(o.maxDelay / 1e9)
-	}
-	nw.DeliverAfter(delay, env)
-}
-
-func (o oracle) Broadcast(nw *Network, from appendmem.NodeID, kind string, body []byte) {
-	for i := 0; i < nw.n; i++ {
-		nw.Send(from, appendmem.NodeID(i), kind, body)
-	}
 }
 
 // push adds d to the pending min-heap.
@@ -308,12 +241,13 @@ func (nw *Network) deliverNext() {
 	}
 }
 
-// Broadcast delivers to every node including the sender (the paper's
-// broadcast includes the local append/ack path). The oracle transport
-// sends n independent point-to-point messages; gossip floods one message
-// over the topology.
+// Broadcast sends n independent point-to-point messages, one to every
+// node including the sender (the paper's broadcast includes the local
+// append/ack path).
 func (nw *Network) Broadcast(from appendmem.NodeID, kind string, body []byte) {
-	nw.transport.Broadcast(nw, from, kind, body)
+	for i := 0; i < nw.n; i++ {
+		nw.Send(from, appendmem.NodeID(i), kind, body)
+	}
 }
 
 // Signer signs on behalf of one node.

@@ -1,6 +1,7 @@
 package msgnet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/appendmem"
@@ -157,4 +158,26 @@ func TestSendOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	nw.Send(0, 5, "x", nil)
+}
+
+// TestOracleEqualTimestampDrainOrder pins the delivery heap's contract:
+// deliveries scheduled for the same instant drain in scheduling order,
+// the order the simulator fires their events in. The delay draw cannot be
+// made to tie, so the deliveries are scheduled directly.
+func TestOracleEqualTimestampDrainOrder(t *testing.T) {
+	s, nw := newNet(3)
+	var order []string
+	for i := 0; i < 3; i++ {
+		i := i
+		nw.Register(appendmem.NodeID(i), func(e Envelope) {
+			order = append(order, fmt.Sprintf("%d<-%s", i, e.Body))
+		})
+	}
+	nw.deliverAfter(0.25, Envelope{From: 0, To: 2, Kind: "k", Body: []byte("a")})
+	nw.deliverAfter(0.25, Envelope{From: 0, To: 1, Kind: "k", Body: []byte("b")})
+	nw.deliverAfter(0.25, Envelope{From: 0, To: 0, Kind: "k", Body: []byte("c")})
+	s.Run()
+	if want := "[2<-a 1<-b 0<-c]"; fmt.Sprint(order) != want {
+		t.Fatalf("order = %v, want %s", order, want)
+	}
 }

@@ -1,22 +1,22 @@
-// Package topology provides the network graphs the transport layer routes
-// over: deterministic, seed-driven generators for the standard families
+// Package topology provides the network graphs appends flood over
+// (access.Visibility): deterministic, seed-driven generators for the standard families
 // (complete, ring lattice, grid, Watts–Strogatz small-world,
 // Barabási–Albert scale-free) plus an explicit latency-table loader, and
 // the per-link delay distributions (fixed, uniform, long-tail) that turn a
 // link's base latency into one sampled transmission delay.
 //
 // The paper's delivery assumption — every append reaches every node within
-// one uniform bound Δ — is the *complete* graph under an oracle transport.
+// one uniform bound Δ — is the *complete* graph under the msgnet oracle.
 // Everything else in this package exists to relax that assumption the way
 // DAG-Sword (arXiv:2311.04638) and TangleSim (arXiv:2305.01232) do: large
-// sparse topologies, heterogeneous per-link latencies, and gossip relay,
-// so experiments can ask where the chain-vs-DAG separation bends when
-// propagation is non-uniform.
+// sparse topologies, heterogeneous per-link latencies, and hop-by-hop
+// flooding, so experiments can ask where the chain-vs-DAG separation bends
+// when propagation is non-uniform.
 //
 // Graphs are immutable after construction and value-typed inside: one CSR
 // adjacency (offsets/targets/latencies in three flat slices, both
 // directions materialized), no per-node maps or pointer chasing, so
-// neighbor iteration in the gossip hot loop is a contiguous scan and a
+// neighbor iteration in the flood hot loop is a contiguous scan and a
 // built Graph is safe to share read-only across concurrent trials. The
 // complete graph stays implicit (O(1) memory) — neighbor iteration
 // synthesizes the full fan-out, which keeps 10k+-node complete topologies
@@ -151,7 +151,7 @@ func (g *Graph) Neighbors(i int, yield func(j int, lat float64) bool) {
 
 // Adj returns node i's CSR adjacency row — neighbor ids and their base
 // latencies, ascending by neighbor id — for batch iteration without a
-// per-neighbor callback (the gossip relay hot loop). The slices alias
+// per-neighbor callback (the visibility flood's hot loop). The slices alias
 // the graph's storage and must be treated as read-only. Complete graphs
 // keep their adjacency implicit and return nil slices; callers fall
 // back to Neighbors, which synthesizes the fan-out.
@@ -288,8 +288,8 @@ func (g *Graph) HopDiameter() int {
 
 // PathLatencies returns, for one source, the minimum summed base latency
 // to every node (Dijkstra) and the predecessor of each node on that
-// shortest path (-1 for the source and unreachable nodes). Used by the
-// transport layer to source-route unicast messages.
+// shortest path (-1 for the source and unreachable nodes). Routes freezes
+// one result per source for sharing.
 func (g *Graph) PathLatencies(src int) (dist []float64, prev []int32) {
 	dist = make([]float64, g.n)
 	prev = make([]int32, g.n)
