@@ -11,6 +11,7 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -28,6 +29,10 @@ const Version = 1
 // maxFrame bounds a single frame; a lease for a huge topology table or a
 // result for a huge chunk stays far below this.
 const maxFrame = 64 << 20
+
+// frameChunk caps the buffer ReadFrame reserves before any payload byte
+// arrives.
+const frameChunk = 64 << 10
 
 // msgType enumerates the protocol messages.
 type msgType string
@@ -115,12 +120,21 @@ func ReadFrame(r io.Reader, m *Msg) error {
 	if n > maxFrame {
 		return fmt.Errorf("distrib: frame of %d bytes exceeds the %d-byte bound", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The header is the peer's claim, not a fact: start the buffer small
+	// and let it grow only with bytes that actually arrive, so a lying
+	// header followed by a close costs nothing near the claimed size. The
+	// extra MinRead keeps a frame up to frameChunk in one allocation, with
+	// room for the read that sees the limit's EOF.
+	var buf bytes.Buffer
+	buf.Grow(min(int(n), frameChunk) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(n))); err != nil {
 		return fmt.Errorf("distrib: truncated frame: %w", err)
 	}
+	if buf.Len() < int(n) {
+		return fmt.Errorf("distrib: truncated frame: %w", io.ErrUnexpectedEOF)
+	}
 	*m = Msg{}
-	if err := json.Unmarshal(payload, m); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), m); err != nil {
 		return fmt.Errorf("distrib: bad frame: %w", err)
 	}
 	return nil
