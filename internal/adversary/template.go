@@ -6,7 +6,7 @@
 // generalize the strategies along the axes a search harness wants to
 // explore — fork schedule, fork target, equivocation fan-out,
 // private-chain segment length, activation margin, release delay — and
-// testdata/presets.golden pins every preset run byte-for-byte.
+// testdata/presets.golden pins the presets' runs byte-for-byte.
 //
 // All strategies exploit exactly the powers the model grants Byzantine
 // nodes: free fresh reads at any instant, free choice of referenced state,
@@ -48,10 +48,11 @@ var (
 	TieBreak = Params{ForkCount: 0, ForkPeriod: 1, Target: TargetCorrect, Fanout: 1}
 
 	// Equivocate is Equivocator, the `equivocate` preset: it alternates
-	// forking the first longest tip and extending it, forking whenever
-	// only one longest tip exists, to keep forks alive as long as
-	// possible. The chain protocols must still terminate: the paper's
-	// termination argument only needs some longest chain to reach k.
+	// between a sibling and a child of the first longest tip, and appends
+	// a sibling whenever only one longest tip exists, keeping forks alive
+	// as long as possible. The chain protocols must still terminate: the
+	// paper's termination argument only needs some longest chain to
+	// reach k.
 	Equivocate = Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: TargetFirst, Fanout: 1}
 
 	// PrivateChain is DagChainExtender (Lemma 5.5), the `private-chain`
