@@ -79,11 +79,10 @@ func analyze(r *scenario.Result, protocol string, k int) (byzShare, damage float
 	switch protocol {
 	case "chain":
 		tree := chain.Build(view)
-		tips := tree.LongestTips()
-		if len(tips) == 0 {
+		ids := tree.SelectedChain(chain.FirstTieBreaker{})
+		if len(ids) == 0 {
 			return 0, 0
 		}
-		ids := tree.ChainTo(tips[0])
 		if len(ids) > k {
 			ids = ids[:k]
 		}

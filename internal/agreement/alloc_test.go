@@ -29,7 +29,7 @@ func TestRunAllocs(t *testing.T) {
 		rule agreement.HonestRule
 		max  float64
 	}{
-		{"chain", base, chainba.Rule{TB: chain.FirstTieBreaker{}}, 1356},
+		{"chain", base, chainba.Rule{TB: chain.FirstTieBreaker{}}, 334},
 		{"dag", base, dagba.Rule{Pivot: dagba.Ghost}, 520},
 		{"dag-smallworld", gossip, dagba.Rule{Pivot: dagba.Ghost}, 1468},
 	} {

@@ -24,7 +24,7 @@ func (lastValueRule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, 
 	if view.Size() < k {
 		return 0, false
 	}
-	return view.Message(appendmem.MsgID(view.Size()-1)).Value, true
+	return view.Message(appendmem.MsgID(view.Size() - 1)).Value, true
 }
 
 func TestInvariantsCatchUnsafeRule(t *testing.T) {
@@ -52,12 +52,7 @@ func TestInvariantsCatchUnsafeRule(t *testing.T) {
 // chainOrder is the longest-chain canonical order with the first-tip
 // analysis tie-break, as the scenario layer binds it.
 func chainOrder(v appendmem.View) []appendmem.MsgID {
-	tree := chain.Build(v)
-	tips := tree.LongestTips()
-	if len(tips) == 0 {
-		return nil
-	}
-	return tree.ChainTo(chain.FirstTieBreaker{}.Pick(tips, v, nil))
+	return chain.Build(v).SelectedChain(chain.FirstTieBreaker{})
 }
 
 func TestDecidedPrefixViolation(t *testing.T) {

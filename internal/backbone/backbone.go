@@ -117,12 +117,7 @@ func analyze(r *agreement.Result, k int, prefix prefixFor, finalStructured func(
 func AnalyzeChain(r *agreement.Result, k int) Report {
 	idx := chain.NewCached()
 	sel := func(view appendmem.View, k int) []appendmem.MsgID {
-		tree := idx.At(view)
-		tips := tree.LongestTips()
-		if len(tips) == 0 {
-			return nil
-		}
-		ids := tree.ChainTo(tips[0])
+		ids := idx.At(view).SelectedChain(chain.FirstTieBreaker{})
 		if len(ids) > k {
 			ids = ids[:k]
 		}

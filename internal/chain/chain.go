@@ -18,16 +18,18 @@
 //
 // A Tree is a dense-slice index over a View's MsgID space (IDs are the
 // contiguous 0..Size-1 arrival prefix of one append-only Memory, parents
-// always precede children). Build constructs it from scratch in O(view);
-// Extend ingests only the suffix appended since the previous view, keeping
-// depth, height and the longest-tip set incrementally correct in O(1) per
-// block — a consumer that re-reads a growing memory every step (see
-// Cached) pays amortized O(1) per block instead of O(view) per step.
+// always precede children). It keeps one record per block — depth, chain
+// parent, value and a traversal mark — and nothing else: every query walks
+// parent edges towards the genesis, so the index needs no child lists. Build
+// constructs it from scratch in O(view); Extend ingests only the suffix
+// appended since the previous view, keeping depth, height and the
+// longest-tip set incrementally correct in O(1) per block — a consumer
+// that re-reads a growing memory every step (see Cached) pays amortized
+// O(1) per block instead of O(view) per step.
 package chain
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/appendmem"
 	"repro/internal/xrand"
@@ -36,34 +38,23 @@ import (
 // Tree indexes the parent structure of a view. Blocks whose parent is not
 // visible in the view are "dangling" and excluded from depth computations;
 // with the append memory this only happens for malformed (Byzantine)
-// references, since parents must be appended before children. The
-// parent-keyed children slices use index int(id)+1 so the virtual genesis
-// (appendmem.None) occupies slot 0.
-// Compact (the retirement companion of Extend) rebases every per-id slice
-// on an origin `off`: ids below off are frozen — their chain values are
-// retained in frozenVals but their structure is dropped, and any query
-// for them panics, mirroring the append memory's watermark contract. The
-// anchor block off-1 takes over the virtual-genesis slot 0 of the
-// parent-keyed children slices.
+// references, since parents must be appended before children.
+//
+// Parents and values are copied into the block records as extend ingests
+// them, so every query after ingestion is answered from the index alone: a
+// windowed memory may retire messages the index still holds live. Compact
+// (the retirement companion of Extend) rebases the records on an origin
+// `off`: ids below off are frozen — their chain values are retained in
+// frozenVals but their records are dropped, and any query for them panics,
+// mirroring the append memory's watermark contract.
 type Tree struct {
 	view  appendmem.View
 	built int // number of view-prefix blocks ingested
 	size  int // non-dangling blocks, including frozen ones
 
-	off      int                 // first live id; per-id slices index id-off
-	depth    []int32             // by id-off; genesis-adjacent = 1; 0 = dangling
-	children [][]appendmem.MsgID // by parent id+1-off; slot 0 = genesis or anchor
-	roots    []appendmem.MsgID   // live blocks with parent None
-
-	// Structure caches, materialized by the first Compact and maintained
-	// by extend from then on: a windowed memory may retire messages the
-	// index still answers for, so a compacting tree must never re-read the
-	// view. Until then the tree reads the view directly and the caches
-	// cost nothing — the unbounded path carries no windowed overhead.
-	tracking bool
-	parent   []appendmem.MsgID // by id-off; chain parent
-	value    []int64           // by id-off; block value
-	height   int
+	off    int     // first live id; blocks index id-off
+	blocks []block // by id-off
+	height int
 	// levelTips is the arrival-ordered set of blocks at depth == height,
 	// maintained on Extend so LongestTips is O(tips) instead of O(view).
 	levelTips []appendmem.MsgID
@@ -74,10 +65,18 @@ type Tree struct {
 	frozenVals   []int64
 	frozenWasted int
 
-	// Epoch-stamped scratch for Forks and Compact: a slot is marked in the
-	// current pass iff its stamp equals the current epoch.
-	mark      []uint64
+	// markEpoch stamps the blocks a Forks or Compact pass visits: a block
+	// is marked in the current pass iff its mark equals markEpoch.
 	markEpoch uint64
+}
+
+// block is the index's record of one id; a dangling block keeps the record
+// extend appends, with depth 0.
+type block struct {
+	depth  int32           // genesis children = 1; 0 = dangling
+	parent appendmem.MsgID // chain parent, None for genesis children
+	value  int64
+	mark   uint64 // equals Tree.markEpoch once the current pass visits it
 }
 
 // Parent returns the chain parent of msg: Parents[0], or None when the
@@ -91,11 +90,7 @@ func Parent(msg *appendmem.Message) appendmem.MsgID {
 
 // Build indexes the chain structure of view from scratch.
 func Build(view appendmem.View) *Tree {
-	t := &Tree{
-		view:     view,
-		depth:    make([]int32, 0, view.Size()),
-		children: make([][]appendmem.MsgID, 1, view.Size()+1),
-	}
+	t := &Tree{view: view, blocks: make([]block, 0, view.Size())}
 	t.extend(view.Size())
 	return t
 }
@@ -119,86 +114,33 @@ func (t *Tree) extend(size int) {
 	for id := appendmem.MsgID(t.built); int(id) < size; id++ {
 		msg := t.view.Message(id)
 		p := Parent(msg)
-		idx := int(id) - t.off
-		t.depth = append(t.depth, 0)
-		if t.tracking {
-			t.parent = append(t.parent, p)
-			t.value = append(t.value, msg.Value)
-		}
-		t.children = append(t.children, nil)
-		t.mark = append(t.mark, 0)
+		t.blocks = append(t.blocks, block{parent: p, value: msg.Value})
+		b := &t.blocks[len(t.blocks)-1]
 		switch {
 		case p == appendmem.None:
-			t.depth[idx] = 1
-			t.roots = append(t.roots, id)
+			b.depth = 1
+		case int(p) < t.off-1:
+			continue // dangling: parent frozen away (malformed reference)
+		case t.off > 0 && int(p) == t.off-1:
+			b.depth = int32(len(t.frozenVals)) + 1 // extends the anchor directly
 		default:
-			var pd int32
-			switch {
-			case int(p) < t.off-1:
-				continue // dangling: parent frozen away (malformed reference)
-			case t.off > 0 && int(p) == t.off-1:
-				pd = int32(len(t.frozenVals)) // extends the anchor directly
-			default:
-				// Parents precede children, so p is already indexed; read the
-				// slice directly (t.built is only advanced after the batch).
-				pd = t.depth[int(p)-t.off]
-				if pd == 0 {
-					continue // dangling: parent invisible or itself dangling
-				}
+			// Parents precede children, so p is already indexed.
+			pd := t.blocks[int(p)-t.off].depth
+			if pd == 0 {
+				continue // dangling: parent invisible or itself dangling
 			}
-			t.depth[idx] = pd + 1
+			b.depth = pd + 1
 		}
 		t.size++
-		if ci := int(p) + 1 - t.off; ci >= 0 {
-			t.children[ci] = append(t.children[ci], id)
-		} // else: a fresh root after Compact — no genesis slot remains for it
-		if int(t.depth[idx]) > t.height {
-			t.height = int(t.depth[idx])
+		if int(b.depth) > t.height {
+			t.height = int(b.depth)
 			t.levelTips = t.levelTips[:0]
 		}
-		if int(t.depth[idx]) == t.height {
+		if int(b.depth) == t.height {
 			t.levelTips = append(t.levelTips, id)
 		}
 	}
 	t.built = size
-}
-
-// View returns the view the tree was built from (the latest extension).
-func (t *Tree) View() appendmem.View { return t.view }
-
-// track materializes the parent/value caches from the view. Called by the
-// first Compact, which always precedes any memory retirement (the harness
-// compacts indexes before retiring chunks), so every built id is still
-// readable here.
-func (t *Tree) track() {
-	if t.tracking {
-		return
-	}
-	t.tracking = true
-	t.parent = make([]appendmem.MsgID, 0, t.built)
-	t.value = make([]int64, 0, t.built)
-	for id := appendmem.MsgID(t.off); int(id) < t.built; id++ {
-		msg := t.view.Message(id)
-		t.parent = append(t.parent, Parent(msg))
-		t.value = append(t.value, msg.Value)
-	}
-}
-
-// parentOf returns the chain parent of a built block, from the cache when
-// compaction is engaged and from the view otherwise.
-func (t *Tree) parentOf(id appendmem.MsgID) appendmem.MsgID {
-	if t.tracking {
-		return t.parent[int(id)-t.off]
-	}
-	return Parent(t.view.Message(id))
-}
-
-// valueOf is parentOf's counterpart for the block value.
-func (t *Tree) valueOf(id appendmem.MsgID) int64 {
-	if t.tracking {
-		return t.value[int(id)-t.off]
-	}
-	return t.view.Message(id).Value
 }
 
 // Compact retires the index prefix below reqW that the decision rules can
@@ -207,10 +149,10 @@ func (t *Tree) valueOf(id appendmem.MsgID) int64 {
 // deepest ancestor of the longest chains with id below both reqW and
 // every longest tip, such that every live non-dangling block descends
 // from A — records the chain values genesis..A in frozenVals (so
-// PrefixValues and decisions stay exact), and drops the per-id slices
-// below A+1 by shifting them down in place. MsgIDs strictly increase
-// along chains, so an id-based cut at a chain anchor is reachability-
-// exact: no tip walk, depth lookup or tie-break can reach below it.
+// PrefixValues and decisions stay exact), and drops the records below
+// A+1 by shifting the rest down in place. MsgIDs strictly increase along
+// chains, so an id-based cut at a chain anchor is reachability-exact: no
+// tip walk, depth lookup or tie-break can reach below it.
 //
 // Compact is conservative: when no anchor below reqW can be proven
 // unreachable it does nothing and returns the current watermark. The
@@ -219,7 +161,6 @@ func (t *Tree) valueOf(id appendmem.MsgID) int64 {
 // enforces this by taking the minimum over all nodes' tip floors before
 // retiring the memory).
 func (t *Tree) Compact(reqW int) int {
-	t.track()
 	if reqW > t.built {
 		reqW = t.built
 	}
@@ -239,7 +180,7 @@ func (t *Tree) Compact(reqW int) int {
 	// candidate (checked by the descendant pass below).
 	cand := t.levelTips[0]
 	for int(cand) >= limit {
-		cand = t.parent[int(cand)-t.off]
+		cand = t.blocks[int(cand)-t.off].parent
 		if cand == appendmem.None || int(cand) < t.off {
 			return t.off // chain exits the live region before an eligible anchor
 		}
@@ -248,67 +189,47 @@ func (t *Tree) Compact(reqW int) int {
 	// it; one ascending-id pass inherits the mark from the parent.
 	t.markEpoch++
 	e := t.markEpoch
-	t.mark[int(cand)-t.off] = e
-	for id := cand + 1; int(id) < t.built; id++ {
-		idx := int(id) - t.off
-		if t.depth[idx] == 0 {
+	t.blocks[int(cand)-t.off].mark = e
+	for idx := int(cand) + 1 - t.off; idx < len(t.blocks); idx++ {
+		b := &t.blocks[idx]
+		if b.depth == 0 {
 			continue // dangling blocks freeze away silently
 		}
-		p := t.parent[idx]
-		if int(p) < int(cand) || t.mark[int(p)-t.off] != e {
+		if int(b.parent) < int(cand) || t.blocks[int(b.parent)-t.off].mark != e {
 			return t.off // a live fork still reaches below the candidate
 		}
-		t.mark[idx] = e
+		b.mark = e
 	}
 	// Freeze: append the chain values old-anchor..cand to frozenVals and
 	// count the frozen off-chain blocks.
 	w := int(cand) + 1
 	chainLen := 0
-	for cur := cand; int(cur) >= t.off; cur = t.parent[int(cur)-t.off] {
+	for cur := cand; int(cur) >= t.off; cur = t.blocks[int(cur)-t.off].parent {
 		chainLen++
 	}
 	at := len(t.frozenVals)
 	t.frozenVals = append(t.frozenVals, make([]int64, chainLen)...)
-	for cur, i := cand, at+chainLen-1; int(cur) >= t.off; cur, i = t.parent[int(cur)-t.off], i-1 {
-		t.frozenVals[i] = t.value[int(cur)-t.off]
+	for cur, i := cand, at+chainLen-1; int(cur) >= t.off; i-- {
+		b := &t.blocks[int(cur)-t.off]
+		t.frozenVals[i] = b.value
+		cur = b.parent
 	}
 	frozen := 0 // non-dangling blocks in [off, cand]
-	for idx := 0; idx <= int(cand)-t.off; idx++ {
-		if t.depth[idx] != 0 {
+	for _, b := range t.blocks[:w-t.off] {
+		if b.depth != 0 {
 			frozen++
 		}
 	}
 	t.frozenWasted += frozen - chainLen
-	// Rebase every per-id slice: shift the live region down in place so
-	// backing arrays stay bounded by the live window.
-	shift := w - t.off
-	t.depth = append(t.depth[:0], t.depth[shift:]...)
-	t.parent = append(t.parent[:0], t.parent[shift:]...)
-	t.value = append(t.value[:0], t.value[shift:]...)
-	t.mark = append(t.mark[:0], t.mark[shift:]...)
-	// children is keyed by parent id+1-off: the anchor's slot lands on the
-	// genesis slot 0 after the shift.
-	for i := 0; i < shift; i++ {
-		t.children[i] = nil
-	}
-	t.children = append(t.children[:0], t.children[shift:]...)
-	nroots := t.roots[:0]
-	for _, r := range t.roots {
-		if int(r) >= w {
-			nroots = append(nroots, r)
-		}
-	}
-	t.roots = nroots
+	// Shift the live records down in place so the backing array stays
+	// bounded by the live window.
+	t.blocks = append(t.blocks[:0], t.blocks[w-t.off:]...)
 	t.off = w
 	return w
 }
 
 // Height returns the length of the longest chain (0 for an empty view).
 func (t *Tree) Height() int { return t.height }
-
-// Watermark returns the first live id: queries for blocks below it panic.
-// 0 until the first successful Compact.
-func (t *Tree) Watermark() int { return t.off }
 
 // TipFloor returns the smallest id among the longest tips, or -1 for an
 // empty tree. levelTips is kept in arrival (ascending-id) order, so this
@@ -321,41 +242,24 @@ func (t *Tree) TipFloor() appendmem.MsgID {
 	return t.levelTips[0]
 }
 
-// belowWatermark panics for ids frozen away by Compact.
-func (t *Tree) belowWatermark(id appendmem.MsgID) {
+// depthOf returns the block's depth, 0 when absent or dangling. It panics
+// for blocks frozen below the compaction watermark.
+func (t *Tree) depthOf(id appendmem.MsgID) int32 {
 	if id >= 0 && int(id) < t.off {
 		panic(fmt.Sprintf("chain: query for id %d below watermark %d", id, t.off))
 	}
+	if id < 0 || int(id) >= t.built {
+		return 0
+	}
+	return t.blocks[int(id)-t.off].depth
 }
 
 // Depth returns the depth of a block (1 for genesis children) and whether
 // the block is in the tree (visible and not dangling). It panics for
 // blocks frozen below the compaction watermark.
 func (t *Tree) Depth(id appendmem.MsgID) (int, bool) {
-	t.belowWatermark(id)
-	if id < 0 || int(id) >= t.built || t.depth[int(id)-t.off] == 0 {
-		return 0, false
-	}
-	return int(t.depth[int(id)-t.off]), true
-}
-
-// depthOf returns the block's depth, 0 when absent or dangling. It panics
-// for blocks frozen below the compaction watermark.
-func (t *Tree) depthOf(id appendmem.MsgID) int32 {
-	t.belowWatermark(id)
-	if id < 0 || int(id) >= t.built {
-		return 0
-	}
-	return t.depth[int(id)-t.off]
-}
-
-// Children returns the blocks whose parent is id (use None for the genesis
-// level, or the anchor block after a Compact), in arrival order.
-func (t *Tree) Children(id appendmem.MsgID) []appendmem.MsgID {
-	if id < appendmem.None || int(id)+1-t.off >= len(t.children) || int(id)+1-t.off < 0 {
-		return nil
-	}
-	return append([]appendmem.MsgID(nil), t.children[int(id)+1-t.off]...)
+	d := t.depthOf(id)
+	return int(d), d != 0
 }
 
 // LongestTips returns the tips of all longest chains — every block at
@@ -381,7 +285,7 @@ func (t *Tree) ChainTo(tip appendmem.MsgID) []appendmem.MsgID {
 	cur := tip
 	for i := n - 1; i >= 0; i-- {
 		chain[i] = cur
-		cur = t.parentOf(cur)
+		cur = t.blocks[int(cur)-t.off].parent
 	}
 	if t.off > 0 && cur != appendmem.MsgID(t.off-1) {
 		panic("chain: compacted chain does not land on the anchor")
@@ -389,21 +293,15 @@ func (t *Tree) ChainTo(tip appendmem.MsgID) []appendmem.MsgID {
 	return chain
 }
 
-// Subtree returns the number of live blocks in the subtree rooted at id,
-// including id itself. Returns 0 when id is not in the tree.
-func (t *Tree) Subtree(id appendmem.MsgID) int {
-	if t.depthOf(id) == 0 {
-		return 0
+// SelectedChain returns the chain to the longest tip tb picks, oldest
+// first as ChainTo gives it, or nil for an empty tree. tb is handed a nil
+// rng, so SelectedChain is for deterministic tie-breakers: the canonical
+// chain an analysis reads off a view, not a protocol node's draw.
+func (t *Tree) SelectedChain(tb TieBreaker) []appendmem.MsgID {
+	if t.height == 0 {
+		return nil
 	}
-	count := 0
-	stack := []appendmem.MsgID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		stack = append(stack, t.children[int(cur)+1-t.off]...)
-	}
-	return count
+	return t.ChainTo(tb.Pick(t.LongestTips(), t.view, nil))
 }
 
 // Forks returns the number of blocks that are not on any longest chain —
@@ -413,16 +311,19 @@ func (t *Tree) Subtree(id appendmem.MsgID) int {
 func (t *Tree) Forks() int {
 	t.markEpoch++
 	e := t.markEpoch
-	for _, tip := range t.LongestTips() {
-		cur := tip
-		for int(cur) >= t.off && cur != appendmem.None && t.mark[int(cur)-t.off] != e {
-			t.mark[int(cur)-t.off] = e
-			cur = t.parentOf(cur)
+	for _, tip := range t.levelTips {
+		for cur := tip; int(cur) >= t.off; {
+			b := &t.blocks[int(cur)-t.off]
+			if b.mark == e {
+				break
+			}
+			b.mark = e
+			cur = b.parent
 		}
 	}
 	wasted := t.frozenWasted
-	for idx := 0; idx < t.built-t.off; idx++ {
-		if t.depth[idx] != 0 && t.mark[idx] != e {
+	for _, b := range t.blocks {
+		if b.depth != 0 && b.mark != e {
 			wasted++
 		}
 	}
@@ -475,16 +376,6 @@ func (a AdversarialTieBreaker) Pick(tips []appendmem.MsgID, view appendmem.View,
 	return tips[0]
 }
 
-// SelectTip builds the tree of view and returns the tip chosen by tb among
-// the longest chains, or (None, false) for an empty/all-dangling view.
-func SelectTip(view appendmem.View, tb TieBreaker, rng *xrand.PCG) (appendmem.MsgID, bool) {
-	tips := Build(view).LongestTips()
-	if len(tips) == 0 {
-		return appendmem.None, false
-	}
-	return tb.Pick(tips, view, rng), true
-}
-
 // PrefixValues returns the values of the first k blocks of the chain ending
 // at tip (oldest first); fewer when the chain is shorter. This is the
 // decision input of Algorithm 5 Line 10. The prefix spans the full chain
@@ -509,42 +400,13 @@ func (t *Tree) PrefixValues(tip appendmem.MsgID, k int) []int64 {
 	// entries above position n-1 are skipped.
 	cur := tip
 	for i := int(d) - 1; i >= len(t.frozenVals); i-- {
+		b := &t.blocks[int(cur)-t.off]
 		if i < n {
-			vals[i] = t.valueOf(cur)
+			vals[i] = b.value
 		}
-		cur = t.parentOf(cur)
+		cur = b.parent
 	}
 	return vals
-}
-
-// CommonPrefix returns the longest common prefix of the chains ending at
-// the two tips (oldest first). Used to check consistency-style properties.
-func (t *Tree) CommonPrefix(a, b appendmem.MsgID) []appendmem.MsgID {
-	ca, cb := t.ChainTo(a), t.ChainTo(b)
-	n := len(ca)
-	if len(cb) < n {
-		n = len(cb)
-	}
-	var prefix []appendmem.MsgID
-	for i := 0; i < n; i++ {
-		if ca[i] != cb[i] {
-			break
-		}
-		prefix = append(prefix, ca[i])
-	}
-	return prefix
-}
-
-// SortByDepth orders ids by (depth, arrival) ascending; a deterministic
-// helper for rendering and tests.
-func (t *Tree) SortByDepth(ids []appendmem.MsgID) {
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := t.depthOf(ids[i]), t.depthOf(ids[j])
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
 }
 
 // Cached is a reusable index handle for one consumer whose reads of a

@@ -28,8 +28,8 @@ func TestEmptyView(t *testing.T) {
 	if tips := tr.LongestTips(); tips != nil {
 		t.Fatalf("tips = %v", tips)
 	}
-	if _, ok := SelectTip(m.Read(), FirstTieBreaker{}, nil); ok {
-		t.Fatal("SelectTip succeeded on empty view")
+	if got := tr.SelectedChain(FirstTieBreaker{}); got != nil {
+		t.Fatalf("SelectedChain on an empty view = %v", got)
 	}
 }
 
@@ -104,6 +104,35 @@ func TestDanglingParentExcluded(t *testing.T) {
 	}
 }
 
+// childrenOf derives from the parent records the live blocks in the tree
+// whose chain parent is id, in arrival order. The index keeps no child
+// lists; this is the test's own reference.
+func childrenOf(tr *Tree, id appendmem.MsgID) []appendmem.MsgID {
+	var kids []appendmem.MsgID
+	for i, b := range tr.blocks {
+		if b.depth != 0 && b.parent == id {
+			kids = append(kids, appendmem.MsgID(tr.off+i))
+		}
+	}
+	return kids
+}
+
+// subtree counts the live blocks in the subtree rooted at id, id included,
+// from the parent records; 0 when id is not in the tree. Parents precede
+// children, so one ascending pass collects every descendant.
+func subtree(tr *Tree, id appendmem.MsgID) int {
+	if _, ok := tr.Depth(id); !ok {
+		return 0
+	}
+	in := map[appendmem.MsgID]bool{id: true}
+	for i := int(id) + 1 - tr.off; i < len(tr.blocks); i++ {
+		if b := tr.blocks[i]; b.depth != 0 && in[b.parent] {
+			in[appendmem.MsgID(tr.off+i)] = true
+		}
+	}
+	return len(in)
+}
+
 func TestSubtree(t *testing.T) {
 	m := appendmem.New(2)
 	root := m.Writer(0).MustAppend(0, 0, nil)
@@ -111,13 +140,13 @@ func TestSubtree(t *testing.T) {
 	m.Writer(1).MustAppend(2, 0, []appendmem.MsgID{root.ID})
 	m.Writer(1).MustAppend(3, 0, []appendmem.MsgID{a.ID})
 	tr := Build(m.Read())
-	if got := tr.Subtree(root.ID); got != 4 {
+	if got := subtree(tr, root.ID); got != 4 {
 		t.Fatalf("subtree(root) = %d, want 4", got)
 	}
-	if got := tr.Subtree(a.ID); got != 2 {
+	if got := subtree(tr, a.ID); got != 2 {
 		t.Fatalf("subtree(a) = %d, want 2", got)
 	}
-	if got := tr.Subtree(99); got != 0 {
+	if got := subtree(tr, 99); got != 0 {
 		t.Fatalf("subtree(unknown) = %d, want 0", got)
 	}
 }
@@ -173,19 +202,6 @@ func TestPrefixValues(t *testing.T) {
 	all := tr.PrefixValues(tip, 100)
 	if len(all) != 6 {
 		t.Fatalf("over-long prefix = %d values", len(all))
-	}
-}
-
-func TestCommonPrefix(t *testing.T) {
-	m := appendmem.New(2)
-	root := m.Writer(0).MustAppend(0, 0, nil)
-	mid := m.Writer(0).MustAppend(1, 0, []appendmem.MsgID{root.ID})
-	a := m.Writer(0).MustAppend(2, 0, []appendmem.MsgID{mid.ID})
-	b := m.Writer(1).MustAppend(3, 0, []appendmem.MsgID{mid.ID})
-	tr := Build(m.Read())
-	prefix := tr.CommonPrefix(a.ID, b.ID)
-	if len(prefix) != 2 || prefix[0] != root.ID || prefix[1] != mid.ID {
-		t.Fatalf("common prefix = %v", prefix)
 	}
 }
 
@@ -257,8 +273,8 @@ func TestPropertySubtreeSum(t *testing.T) {
 		}
 		tr := Build(m.Read())
 		total := 0
-		for _, r := range tr.Children(appendmem.None) {
-			total += tr.Subtree(r)
+		for _, r := range childrenOf(tr, appendmem.None) {
+			total += subtree(tr, r)
 		}
 		return total == m.Len()
 	}, nil); err != nil {

@@ -32,11 +32,8 @@ func assertSameTree(t *testing.T, step int, inc, ref *Tree) {
 	if !equalIDs(inc.LongestTips(), ref.LongestTips()) {
 		t.Fatalf("prefix %d: longest tips %v vs %v", step, inc.LongestTips(), ref.LongestTips())
 	}
-	if !equalIDs(inc.roots, ref.roots) {
-		t.Fatalf("prefix %d: roots %v vs %v", step, inc.roots, ref.roots)
-	}
-	for id := appendmem.MsgID(-1); int(id) < step; id++ {
-		if !equalIDs(inc.Children(id), ref.Children(id)) {
+	for id := appendmem.None; int(id) < step; id++ {
+		if !equalIDs(childrenOf(inc, id), childrenOf(ref, id)) {
 			t.Fatalf("prefix %d: children(%d) differ", step, id)
 		}
 		if id < 0 {
@@ -47,7 +44,7 @@ func assertSameTree(t *testing.T, step int, inc, ref *Tree) {
 		if di != dr || oki != okr {
 			t.Fatalf("prefix %d: depth(%d) %d,%v vs %d,%v", step, id, di, oki, dr, okr)
 		}
-		if inc.Subtree(id) != ref.Subtree(id) {
+		if subtree(inc, id) != subtree(ref, id) {
 			t.Fatalf("prefix %d: subtree(%d) differs", step, id)
 		}
 	}

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/appendmem"
@@ -95,12 +96,13 @@ func assertSameDagDecisions(t *testing.T, step int, pruned, full *Dag) {
 			t.Fatalf("prefix %d: past cone(%d) differs above the watermark", step, id)
 		}
 	}
-	// Ancestry queries over live pairs must agree (tips against pivot blocks
-	// exercises both found and pruned-search paths).
-	for _, a := range pg {
-		for _, b := range pruned.Tips() {
-			if pruned.IsAncestor(a, b) != full.IsAncestor(a, b) {
-				t.Fatalf("prefix %d: IsAncestor(%d,%d) differs", step, a, b)
+	// Ancestry over live pairs must agree: whether each pivot block lies in
+	// each tip's past cone.
+	for _, b := range pruned.Tips() {
+		pc, fc := pruned.PastCone(b), full.PastCone(b)
+		for _, a := range pg {
+			if slices.Contains(pc, a) != slices.Contains(fc, a) {
+				t.Fatalf("prefix %d: %d in past cone of %d differs", step, a, b)
 			}
 		}
 	}

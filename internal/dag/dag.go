@@ -354,9 +354,6 @@ func (d *Dag) bumpGhostBest(p, kid appendmem.MsgID) {
 	}
 }
 
-// View returns the view the DAG was built from (the latest extension).
-func (d *Dag) View() appendmem.View { return d.view }
-
 // Size returns the number of non-dangling blocks.
 func (d *Dag) Size() int { return d.size }
 
@@ -477,47 +474,6 @@ func (d *Dag) PastCone(id appendmem.MsgID) []appendmem.MsgID {
 	d.dfsStack = stack
 	slices.Sort(cone)
 	return cone
-}
-
-// IsAncestor reports whether a is an ancestor of b (or equal) over all
-// parent edges. The search walks b's ancestry pruning branches that are
-// already too shallow or too old to reach a, and stops as soon as a is
-// found instead of materializing the full cone.
-func (d *Dag) IsAncestor(a, b appendmem.MsgID) bool {
-	if !d.Contains(a) || !d.Contains(b) {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	da := d.blocks[int(a)-d.off].depth
-	d.visitEpoch++
-	e := d.visitEpoch
-	d.blocks[int(b)-d.off].visited = e
-	stack := append(d.dfsStack[:0], b)
-	found := false
-	for len(stack) > 0 && !found {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range d.parentsOf(cur) {
-			if p == a {
-				found = true
-				break
-			}
-			// Ancestor ids strictly decrease and depths strictly decrease
-			// along parent edges: anything older or shallower than a cannot
-			// lead back to it. (a >= off, so frozen parents prune here too.)
-			if p == appendmem.None || p < a {
-				continue
-			}
-			if pb := &d.blocks[int(p)-d.off]; pb.depth > da && pb.visited != e {
-				pb.visited = e
-				stack = append(stack, p)
-			}
-		}
-	}
-	d.dfsStack = stack[:0]
-	return found
 }
 
 // Linearize returns the total order over the past cone of the pivot tip:

@@ -67,7 +67,7 @@ func TestDiamondStructure(t *testing.T) {
 	if len(tips) != 1 || tips[0] != c {
 		t.Fatalf("tips = %v", tips)
 	}
-	if !d.IsAncestor(g, c) || !d.IsAncestor(b, c) || d.IsAncestor(c, a) {
+	if cone := d.PastCone(c); !slices.Contains(cone, g) || !slices.Contains(cone, b) || slices.Contains(d.PastCone(a), c) {
 		t.Fatal("ancestry wrong")
 	}
 	// Selected-parent tree: g->a, g->b, a->c, so subtree(g) = 4.
@@ -178,7 +178,7 @@ func TestDanglingExcluded(t *testing.T) {
 // lists; this is the test's own reference.
 func childrenOf(d *Dag, id appendmem.MsgID) []appendmem.MsgID {
 	var kids []appendmem.MsgID
-	view := d.View()
+	view := d.view
 	for c := id + 1; int(c) < view.Size(); c++ {
 		if d.Contains(c) && slices.Contains(view.Message(c).Parents, id) {
 			kids = append(kids, c)

@@ -33,12 +33,10 @@ func TestDifferentialLongestPivotVsChain(t *testing.T) {
 		d := Build(view)
 		pivot := d.LongestPivot()
 
-		tree := chain.Build(view)
-		tips := tree.LongestTips()
-		if len(tips) == 0 {
+		chainIDs := chain.Build(view).SelectedChain(chain.FirstTieBreaker{})
+		if len(chainIDs) == 0 {
 			return len(pivot) == 0
 		}
-		chainIDs := tree.ChainTo(tips[0])
 
 		if len(pivot) != len(chainIDs) {
 			return false

@@ -32,15 +32,12 @@ func (o Options) byz(id appendmem.NodeID) bool {
 func Chain(view appendmem.View, o Options) string {
 	prefix := map[appendmem.MsgID]bool{}
 	if o.K > 0 {
-		tree := chain.Build(view)
-		if tips := tree.LongestTips(); len(tips) > 0 {
-			ids := tree.ChainTo(tips[0])
-			if len(ids) > o.K {
-				ids = ids[:o.K]
-			}
-			for _, id := range ids {
-				prefix[id] = true
-			}
+		ids := chain.Build(view).SelectedChain(chain.FirstTieBreaker{})
+		if len(ids) > o.K {
+			ids = ids[:o.K]
+		}
+		for _, id := range ids {
+			prefix[id] = true
 		}
 	}
 	return render(view, o, prefix, false)

@@ -109,11 +109,8 @@ func RunE5(o Options) []*Table {
 		})
 		sums := runner.TrialsReduce(trials, o.Seed, o.Workers, acc{}, func(seed uint64) res {
 			r := b.Randomized(seed)
-			tree := chain.Build(r.FinalView)
-			tips := tree.LongestTips()
 			frac := 0.0
-			if len(tips) > 0 {
-				ids := tree.ChainTo(tb.Pick(tips, r.FinalView, nil))
+			if ids := chain.Build(r.FinalView).SelectedChain(tb); len(ids) > 0 {
 				if len(ids) > k {
 					ids = ids[:k]
 				}

@@ -28,12 +28,7 @@ func (b *Bound) OrderFunc() (func(appendmem.View) []appendmem.MsgID, error) {
 	case Chain:
 		tb := analysisTieBreak(&b.spec)
 		return func(v appendmem.View) []appendmem.MsgID {
-			tree := chain.Build(v)
-			tips := tree.LongestTips()
-			if len(tips) == 0 {
-				return nil
-			}
-			return tree.ChainTo(tb.Pick(tips, v, nil))
+			return chain.Build(v).SelectedChain(tb)
 		}, nil
 	case Dag:
 		longest := b.spec.Pivot == PivotLongest

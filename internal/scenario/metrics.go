@@ -85,12 +85,10 @@ func orderedPrefix(stat func(r *Result, ids []appendmem.MsgID) float64) func(b *
 		case Chain:
 			tb := analysisTieBreak(&b.spec)
 			return func(r *Result) float64 {
-				tree := chain.Build(r.FinalView)
-				tips := tree.LongestTips()
-				if len(tips) == 0 {
+				ids := chain.Build(r.FinalView).SelectedChain(tb)
+				if len(ids) == 0 {
 					return math.NaN()
 				}
-				ids := tree.ChainTo(tb.Pick(tips, r.FinalView, nil))
 				if len(ids) > k {
 					ids = ids[:k]
 				}
