@@ -230,3 +230,52 @@ func TestCompactDeclinesUnsafeWatermark(t *testing.T) {
 		t.Fatalf("Compact froze past a live fork: watermark %d", w)
 	}
 }
+
+// TestWeightStepsBoundaryStream drives the E23a "dag / boundary" stream: a
+// bounded memory with a 1024-message window, the index extended and
+// compacted every 256 appends, and every 64 steps a fork pinned just above
+// the retirement floor and merged into the next main block, so Compact
+// declines and every carry runs back to the genesis. Weight work must stay
+// within 2·blocks + batches·(height+1); a per-block walk to the genesis
+// costs O(blocks × height) here and fails the bound.
+func TestWeightStepsBoundaryStream(t *testing.T) {
+	const steps, window, stride, forkEvery = 8192, 1024, 256, 64
+	m := appendmem.NewBounded(8, window/8)
+	c := NewCached()
+	tip := appendmem.None
+	var open []appendmem.MsgID
+	batches := 0
+	for i := 0; i < steps; i++ {
+		w := m.Writer(appendmem.NodeID(i % 8))
+		switch {
+		case i%forkEvery == forkEvery/2-1 && tip > 32:
+			fork := w.MustAppend(1, 0, []appendmem.MsgID{appendmem.MsgID(m.Watermark() + 8)})
+			open = append(open, fork.ID)
+		case tip == appendmem.None:
+			tip = w.MustAppend(1, 0, nil).ID
+		default:
+			tip = w.MustAppend(1, 0, append([]appendmem.MsgID{tip}, open...)).ID
+			open = open[:0]
+		}
+		if (i+1)%stride == 0 {
+			if floor := m.Len() - window; floor > 0 {
+				c.At(m.Read())
+				batches++
+				c.CompactTo(floor)
+				m.Retire(floor)
+			}
+		}
+	}
+	d := c.At(m.Read())
+	batches++
+	if d.Watermark() > 2*window {
+		t.Fatalf("Compact reached watermark %d: the boundary fork no longer pins the history", d.Watermark())
+	}
+	bound := 2*d.Size() + batches*(d.Height()+1)
+	t.Logf("%d blocks, %d batches, height %d: %d weight steps (bound %d)",
+		d.Size(), batches, d.Height(), d.WeightSteps(), bound)
+	if d.WeightSteps() > bound {
+		t.Fatalf("%d weight steps for %d blocks in %d batches at height %d, want <= %d",
+			d.WeightSteps(), d.Size(), batches, d.Height(), bound)
+	}
+}

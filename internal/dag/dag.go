@@ -27,11 +27,14 @@
 // the index from scratch; Extend ingests only the blocks appended since the
 // previous view, keeping every derived quantity — depth, selected-parent
 // tree depth, GHOST subtree weights and their per-parent tie-state, the tip
-// set, both pivot anchors — incrementally correct. Extending by one block
-// costs O(parents) plus one walk up the block's selected-parent path for
-// the weight updates, instead of the O(view) full rebuild; a consumer that
-// re-reads a growing memory every step (see Cached) pays amortized O(1) per
-// block instead of O(view) per step.
+// set, both pivot anchors — incrementally correct. An Extend batch costs
+// O(parents) per new block plus one pass that carries the batch's GHOST
+// weights up the selected-parent tree, touching each older ancestor once
+// per batch: O(blocks + tree depth) per batch instead of the O(view) full
+// rebuild, and a from-scratch Build is O(V). A consumer that re-reads a
+// growing memory every step (see Cached) pays for the new blocks and one
+// walk to the compaction anchor per read, not for the history below it
+// once per block.
 package dag
 
 import (
@@ -80,6 +83,10 @@ type Dag struct {
 	parArena  []appendmem.MsgID   // current parent-span arena block
 
 	height int
+
+	// weightSteps counts the weight updates propagate made, one per
+	// block-weight addition: the index's deterministic work count.
+	weightSteps int
 
 	// Longest selected-parent chain anchor: the earliest-arrived deepest
 	// tree block (LongestPivot's tie-break), maintained on Extend.
@@ -238,7 +245,9 @@ func (d *Dag) authorSeqOf(id appendmem.MsgID) int64 {
 	return int64(msg.Author)<<32 | int64(msg.Seq)
 }
 
-// extend ingests ids [d.built, size).
+// extend ingests ids [d.built, size) as one batch: each block's own record
+// (depth, tips, tree depth, selected parent, unit weight) in arrival order,
+// then one propagate pass for the GHOST weights of the whole batch.
 func (d *Dag) extend(size int) {
 	for id := appendmem.MsgID(d.built); int(id) < size; id++ {
 		msg := d.view.Message(id)
@@ -284,11 +293,8 @@ func (d *Dag) extend(size int) {
 		}
 		d.tips = append(d.tips, id)
 
-		// Selected-parent tree: attach, then push the new block's unit
-		// weight up the selected-parent path, keeping each ancestor's
-		// heaviest-kid tie-state exact. The walk stops at the compaction
-		// anchor: the frozen pivot prefix no longer competes, so its
-		// weights need not stay current.
+		// Selected-parent tree: attach with unit weight; propagate carries
+		// the batch's weights up the tree once the whole batch is in.
 		sp := SelectedParent(msg)
 		b.parent = sp
 		b.treeDepth = 1
@@ -299,15 +305,73 @@ func (d *Dag) extend(size int) {
 			d.bestTreeDepth, d.bestTreeTip = b.treeDepth, id
 		}
 		b.weight = 1
-		d.bumpGhostBest(sp, id)
-		for p := sp; int(p) >= d.off; {
-			pb := &d.blocks[int(p)-d.off]
-			pb.weight++
-			d.bumpGhostBest(pb.parent, p)
-			p = pb.parent
+	}
+	from := d.built
+	d.built = size
+	d.propagate(from)
+}
+
+// propagate adds the weights of the batch [from, d.built) to the
+// selected-parent tree and re-establishes every affected ghostBest slot, in
+// one pass per batch rather than one path walk per block. The new ids are
+// visited in descending order: a kid's id exceeds its parent's, so a
+// block's weight is final when it hands it on — an in-batch parent's record
+// accumulates it directly, an older parent gets a carry. The carries then
+// drain largest id first, merging on equal ids, so each older ancestor is
+// updated once per batch. The carries stop at the compaction anchor: the
+// frozen pivot prefix no longer competes, so its weights need not stay
+// current. Every block whose weight changed is handed to bumpGhostBest
+// once, at its final weight, which keeps the slots exact.
+func (d *Dag) propagate(from int) {
+	// Pending carries, id<<32|delta in ascending id order. The frontier is a
+	// handful of ids, so it lives on the stack; a wider one spills to the
+	// heap.
+	var buf [16]appendmem.MsgID
+	pend := buf[:0]
+	for id := appendmem.MsgID(d.built - 1); int(id) >= from; id-- {
+		b := &d.blocks[int(id)-d.off]
+		if !b.inDag {
+			continue
+		}
+		d.bumpGhostBest(b.parent, id)
+		switch p := b.parent; {
+		case int(p) >= from:
+			d.blocks[int(p)-d.off].weight += b.weight
+			d.weightSteps++
+		case int(p) >= d.off:
+			pend = addCarry(pend, p, b.weight)
 		}
 	}
-	d.built = size
+	for len(pend) > 0 {
+		top := pend[len(pend)-1]
+		pend = pend[:len(pend)-1]
+		delta := int32(top)
+		// Walk directly while the path stays above every pending carry.
+		for p := top >> 32; ; {
+			pb := &d.blocks[int(p)-d.off]
+			pb.weight += delta
+			d.weightSteps++
+			d.bumpGhostBest(pb.parent, p)
+			if p = pb.parent; int(p) < d.off {
+				break
+			}
+			if len(pend) > 0 && p <= pend[len(pend)-1]>>32 {
+				pend = addCarry(pend, p, delta)
+				break
+			}
+		}
+	}
+}
+
+// addCarry adds delta to p's carry in pend (ascending by id), inserting
+// one when p has none.
+func addCarry(pend []appendmem.MsgID, p appendmem.MsgID, delta int32) []appendmem.MsgID {
+	i, found := slices.BinarySearchFunc(pend, p, func(e, id appendmem.MsgID) int { return cmp.Compare(e>>32, id) })
+	if found {
+		pend[i] += appendmem.MsgID(delta)
+		return pend
+	}
+	return slices.Insert(pend, i, p<<32|appendmem.MsgID(delta))
 }
 
 // dropTip removes p from the tip set; no-op when p is not a tip.
@@ -334,10 +398,13 @@ func (d *Dag) bestSlot(p appendmem.MsgID) *appendmem.MsgID {
 }
 
 // bumpGhostBest re-establishes "p's ghostBest is the earliest-arrived
-// maximum-weight selected-parent kid of p" after kid's weight grew by one.
-// Increments preserve the invariant with a single comparison: kid either
-// was the best (still is), strictly passes the best, or ties it — and a tie
-// goes to the earlier arrival, matching the from-scratch arrival-order scan.
+// maximum-weight selected-parent kid of p" after kid's weight grew (or kid
+// arrived). Weights only grow, so one comparison against the current best
+// suffices as long as every kid whose weight grew is compared after its
+// last growth; a tie goes to the earlier arrival, matching the
+// from-scratch arrival-order scan. A best whose weight is still to grow is
+// compared again once it has (see propagate; DESIGN.md §7 has the
+// argument).
 func (d *Dag) bumpGhostBest(p, kid appendmem.MsgID) {
 	slot := d.bestSlot(p)
 	if slot == nil || *slot == kid {
@@ -353,6 +420,11 @@ func (d *Dag) bumpGhostBest(p, kid appendmem.MsgID) {
 		*slot = kid
 	}
 }
+
+// WeightSteps returns the number of block-weight updates the index made
+// since Build: O(blocks + batches × tree depth), never O(blocks × depth).
+// It is deterministic, so tests can bound the weight work of a stream.
+func (d *Dag) WeightSteps() int { return d.weightSteps }
 
 // Size returns the number of non-dangling blocks.
 func (d *Dag) Size() int { return d.size }

@@ -301,3 +301,76 @@ func TestDifferentialOrderedValuesPrefix(t *testing.T) {
 		t.Fatal("no history ever allowed retirement; the compacted half is vacuous")
 	}
 }
+
+// TestDifferentialBatchedExtend: Extend batches of random size (1 to 300),
+// each followed by Compact(safe[s]), must leave every live weight, both
+// pivots and the decision prefix exactly where one-block-at-a-time
+// extension under the same compactions and a fresh Build leave them. Only
+// Build sees a multi-block batch otherwise.
+func TestDifferentialBatchedExtend(t *testing.T) {
+	histories := []func(*xrand.PCG, int) *appendmem.Memory{adversarialHistory, recentDagHistory}
+	compacted := 0
+	for _, history := range histories {
+		for seed := uint64(1); seed <= 4; seed++ {
+			m := history(xrand.New(seed, 41), 900)
+			safe := safeWatermarks(m)
+			rng := xrand.New(seed, 43)
+			batched, single := Build(m.ViewAt(0)), Build(m.ViewAt(0))
+			for s := 0; s < m.Len(); {
+				s = min(m.Len(), s+1+rng.Intn(300))
+				batched.Extend(m.ViewAt(s))
+				for single.built < s {
+					single.Extend(m.ViewAt(single.built + 1))
+				}
+				if batched.Compact(safe[s]) != single.Compact(safe[s]) {
+					t.Fatalf("seed %d prefix %d: watermarks %d vs %d", seed, s, batched.off, single.off)
+				}
+				if batched.off > 0 {
+					compacted++
+				}
+				if !equalIDs(batched.GhostPivot(), single.GhostPivot()) ||
+					!equalIDs(batched.LongestPivot(), single.LongestPivot()) {
+					t.Fatalf("seed %d prefix %d: live pivots differ from the one-block index", seed, s)
+				}
+				assertSameDagDecisions(t, s, batched, single)
+				assertSameDagDecisions(t, s, batched, Build(m.ViewAt(s)))
+			}
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("no history ever allowed retirement; the compacted batches are vacuous")
+	}
+}
+
+// TestBatchedGhostTieKeepsOlderKid: two selected-parent kids of one block
+// reach equal weight inside one Extend batch. The earlier-arrived kid must
+// stay the GHOST choice, both when the two kids arrive in the batch and
+// when the older one predates it and its carry lands only after the newer
+// kid has taken the slot.
+func TestBatchedGhostTieKeepsOlderKid(t *testing.T) {
+	for _, oldKid := range []bool{false, true} {
+		m := appendmem.New(1)
+		w := m.Writer(0)
+		g := w.MustAppend(0, 0, nil).ID
+		var a appendmem.MsgID
+		if oldKid {
+			a = w.MustAppend(1, 0, []appendmem.MsgID{g}).ID
+		}
+		d := Build(m.Read())
+		if !oldKid {
+			a = w.MustAppend(1, 0, []appendmem.MsgID{g}).ID
+		}
+		b := w.MustAppend(2, 0, []appendmem.MsgID{g}).ID
+		w.MustAppend(3, 0, []appendmem.MsgID{b})
+		a1 := w.MustAppend(4, 0, []appendmem.MsgID{a}).ID
+		d.Extend(m.Read())
+		if d.Weight(a) != 2 || d.Weight(b) != 2 {
+			t.Fatalf("oldKid=%v: weights a=%d b=%d, want a tie at 2", oldKid, d.Weight(a), d.Weight(b))
+		}
+		want := []appendmem.MsgID{g, a, a1}
+		if got := d.GhostPivot(); !equalIDs(got, want) {
+			t.Fatalf("oldKid=%v: ghost pivot %v, want %v (the earlier kid wins the tie)", oldKid, got, want)
+		}
+		assertSameDag(t, m.Len(), d, Build(m.Read()))
+	}
+}
