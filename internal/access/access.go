@@ -9,11 +9,14 @@
 //     exploits (an append placed between two nodes' reads is seen by one
 //     node this round and by the other only next round).
 //
-//   - PoissonAuthority: the randomized memory access of Section 5. Append
-//     access requires a token handed out by an authority; each node's tokens
+//   - Authority: the randomized memory access of Section 5. Append access
+//     requires a token handed out by an authority; each node's tokens
 //     arrive as an independent Poisson process with rate λ per Δ, so the
 //     aggregate token stream is Poisson with rate nλ per Δ. Reads are free
 //     at any time. This is the paper's clean abstraction of proof-of-work.
+//     The same type carries the two variants the experiments need:
+//     per-node rates (hashing power) and a burst-free round-robin cadence
+//     at the same aggregate rate.
 //
 // The implementation realizes the n independent processes as one merged
 // exponential-clock process (rate nλ/Δ) whose grants are assigned to
@@ -106,13 +109,35 @@ type Grant struct {
 	Seq  int // position in the authority's total arrival order
 }
 
-// PoissonAuthority hands out append tokens at Poisson-process instants.
-type PoissonAuthority struct {
+// Authority hands out append tokens. Its discipline follows from the
+// inputs of its last Reset:
+//
+//   - uniform Poisson (an rng, no rates): each of n nodes receives tokens
+//     at rate λ per Δ, so the merged stream has rate nλ/Δ and each grant
+//     goes to a uniformly random node;
+//   - weighted Poisson (an rng and per-node rates): node i's tokens arrive
+//     at rates[i] per Δ, its "hashing power" in the proof-of-work reading.
+//     The merged rate is sum(rates)/Δ and a grant goes to node i with
+//     probability rates[i]/sum, the standard decomposition of independent
+//     Poisson processes. With equal rates it has the uniform discipline's
+//     distribution;
+//   - round-robin cadence (no rng): grants arrive every Δ/(nλ) and cycle
+//     through the nodes, so each node receives exactly λ grants per Δ with
+//     zero variance. Same aggregate rate, none of the burstiness: the
+//     ablation that separates the Section 5 effects that need Poisson
+//     clumping (Lemma 5.5's private bursts) from those that need only the
+//     rate (Theorem 5.4's staleness forks).
+//
+// The zero value is ready for Reset. The grant event is bound on the first
+// Reset and kept, so an Authority held by value in pooled state re-arms
+// for each new stream without allocating.
+type Authority struct {
 	s       *sim.Sim
-	rng     *xrand.PCG
+	rng     *xrand.PCG // nil selects the round-robin cadence
 	n       int
-	rate    float64   // merged rate: sum of per-node rates per unit time
-	weights []float64 // per-node rates; nil means uniform
+	rate    float64   // Poisson: merged rate per unit time
+	gap     sim.Time  // round-robin: the fixed inter-grant time
+	weights []float64 // per-node rates; empty means uniform
 	seq     int
 	handle  func(Grant)
 	active  bool
@@ -120,19 +145,47 @@ type PoissonAuthority struct {
 	tick    func() // fire bound once, so scheduling a grant allocates nothing
 }
 
-// NewPoissonAuthority creates an authority for n nodes where each node's
-// tokens arrive with rate lambda per delta time units. handle is invoked at
-// each grant instant, inside the simulator. Call Start to begin issuing.
-func NewPoissonAuthority(s *sim.Sim, rng *xrand.PCG, n int, lambda, delta float64, handle func(Grant)) *PoissonAuthority {
-	if n <= 0 || lambda <= 0 || delta <= 0 {
-		panic("access: invalid PoissonAuthority parameters")
+// Reset readies a for a new stream over n nodes, each receiving tokens at
+// rate lambda per delta time units; rates, when non-nil, gives each node
+// its own rate instead (len must be n, lambda is ignored). rng drives the
+// Poisson disciplines; nil selects the round-robin cadence, which takes no
+// rates. handle is invoked at each grant instant, inside s. Call Start to
+// begin issuing. No grant of a previous stream may still be pending on s.
+// Reset panics on invalid parameters.
+func (a *Authority) Reset(s *sim.Sim, rng *xrand.PCG, n int, lambda, delta float64, rates []float64, handle func(Grant)) {
+	if n <= 0 || delta <= 0 || (rates == nil && lambda <= 0) {
+		panic("access: invalid authority parameters")
 	}
-	return &PoissonAuthority{s: s, rng: rng, n: n, rate: float64(n) * lambda / delta, handle: handle}
+	a.weights = a.weights[:0]
+	switch {
+	case rates != nil:
+		if rng == nil || len(rates) != n {
+			panic("access: per-node rates need an rng and one rate per node")
+		}
+		total := 0.0
+		for _, r := range rates {
+			if r <= 0 {
+				panic("access: non-positive per-node rate")
+			}
+			total += r
+		}
+		a.rate = total / delta
+		a.weights = append(a.weights, rates...)
+	case rng != nil:
+		a.rate = float64(n) * lambda / delta
+	default:
+		a.gap = sim.Time(delta / (lambda * float64(n)))
+	}
+	a.s, a.rng, a.n, a.handle = s, rng, n, handle
+	a.seq, a.active, a.nextAt = 0, false, 0
+	if a.tick == nil {
+		a.tick = a.fire
+	}
 }
 
 // Start schedules the first grant. Grants continue until Stop (or until the
 // simulator stops draining events).
-func (a *PoissonAuthority) Start() {
+func (a *Authority) Start() {
 	if a.active {
 		return
 	}
@@ -141,164 +194,54 @@ func (a *PoissonAuthority) Start() {
 }
 
 // Stop ceases issuing grants after any already-scheduled one fires.
-func (a *PoissonAuthority) Stop() { a.active = false }
+func (a *Authority) Stop() { a.active = false }
 
 // Issued returns the number of grants handed out so far.
-func (a *PoissonAuthority) Issued() int { return a.seq }
+func (a *Authority) Issued() int { return a.seq }
 
 // NextAt returns the instant of the pending grant — the piece of authority
 // state a run checkpoint must capture, since the inter-arrival draw behind
 // it was already consumed from the rng.
-func (a *PoissonAuthority) NextAt() sim.Time { return a.nextAt }
+func (a *Authority) NextAt() sim.Time { return a.nextAt }
 
-// ResumeAt restarts a fresh authority mid-stream: grant numbering
+// ResumeAt restarts a freshly Reset authority mid-stream: grant numbering
 // continues from seq and the pending grant fires at absolute time at. The
 // rng must be positioned exactly as at the checkpoint (the at draw is not
 // re-consumed).
-func (a *PoissonAuthority) ResumeAt(seq int, at sim.Time) {
+func (a *Authority) ResumeAt(seq int, at sim.Time) {
 	if a.active {
 		return
 	}
 	a.active = true
 	a.seq = seq
 	a.nextAt = at
-	if a.tick == nil {
-		a.tick = a.fire
-	}
 	a.s.At(at, a.tick)
 }
 
-func (a *PoissonAuthority) scheduleNext() {
-	if a.tick == nil {
-		a.tick = a.fire
+func (a *Authority) scheduleNext() {
+	wait := a.gap
+	if a.rng != nil {
+		wait = sim.Time(a.rng.Exp(a.rate))
 	}
-	wait := sim.Time(a.rng.Exp(a.rate))
 	a.nextAt = a.s.Now() + wait
 	a.s.After(wait, a.tick)
 }
 
-func (a *PoissonAuthority) fire() {
+func (a *Authority) fire() {
 	if !a.active {
 		return
 	}
-	node := appendmem.NodeID(a.rng.Intn(a.n))
-	if a.weights != nil {
-		node = appendmem.NodeID(a.rng.Pick(a.weights))
-	}
-	g := Grant{
-		Node: node,
-		At:   a.s.Now(),
-		Seq:  a.seq,
-	}
-	a.seq++
-	a.handle(g)
-	a.scheduleNext()
-}
-
-// RoundRobinAuthority is the burst-free counterpart of PoissonAuthority:
-// grants arrive at a fixed cadence of Δ/(n·λ) and cycle deterministically
-// through the nodes, so every node receives exactly λ grants per Δ with
-// zero variance. Same aggregate rate as the Poisson authority, none of
-// its burstiness — the ablation that separates which of the paper's
-// Section 5 effects need Poisson clumping (Lemma 5.5's private bursts)
-// from those that only need the rate (Theorem 5.4's staleness forks).
-type RoundRobinAuthority struct {
-	s      *sim.Sim
-	n      int
-	gap    sim.Time
-	seq    int
-	handle func(Grant)
-	active bool
-	nextAt sim.Time
-	tick   func() // fire bound once, so scheduling a grant allocates nothing
-}
-
-// NewRoundRobinAuthority creates the deterministic authority with the
-// same (n, lambda, delta) semantics as NewPoissonAuthority.
-func NewRoundRobinAuthority(s *sim.Sim, n int, lambda, delta float64, handle func(Grant)) *RoundRobinAuthority {
-	if n <= 0 || lambda <= 0 || delta <= 0 {
-		panic("access: invalid RoundRobinAuthority parameters")
-	}
-	return &RoundRobinAuthority{s: s, n: n, gap: sim.Time(delta / (lambda * float64(n))), handle: handle}
-}
-
-// Start schedules the first grant.
-func (a *RoundRobinAuthority) Start() {
-	if a.active {
-		return
-	}
-	a.active = true
-	a.scheduleNext()
-}
-
-// Stop ceases issuing grants.
-func (a *RoundRobinAuthority) Stop() { a.active = false }
-
-// Issued returns the number of grants handed out so far.
-func (a *RoundRobinAuthority) Issued() int { return a.seq }
-
-// NextAt returns the instant of the pending grant (see PoissonAuthority).
-func (a *RoundRobinAuthority) NextAt() sim.Time { return a.nextAt }
-
-// ResumeAt restarts a fresh authority mid-stream (see PoissonAuthority).
-func (a *RoundRobinAuthority) ResumeAt(seq int, at sim.Time) {
-	if a.active {
-		return
-	}
-	a.active = true
-	a.seq = seq
-	a.nextAt = at
-	if a.tick == nil {
-		a.tick = a.fire
-	}
-	a.s.At(at, a.tick)
-}
-
-func (a *RoundRobinAuthority) scheduleNext() {
-	if a.tick == nil {
-		a.tick = a.fire
-	}
-	a.nextAt = a.s.Now() + a.gap
-	a.s.After(a.gap, a.tick)
-}
-
-func (a *RoundRobinAuthority) fire() {
-	if !a.active {
-		return
-	}
-	g := Grant{
-		Node: appendmem.NodeID(a.seq % a.n),
-		At:   a.s.Now(),
-		Seq:  a.seq,
-	}
-	a.seq++
-	a.handle(g)
-	a.scheduleNext()
-}
-
-// NewWeightedPoissonAuthority generalizes NewPoissonAuthority to
-// heterogeneous access rates: rates[i] is node i's token rate per delta
-// time units (its "hashing power" in the proof-of-work reading). The
-// merged process has rate sum(rates)/delta and each grant goes to node i
-// with probability rates[i]/sum — the standard decomposition of
-// independent Poisson processes. With equal rates this is exactly
-// NewPoissonAuthority.
-func NewWeightedPoissonAuthority(s *sim.Sim, rng *xrand.PCG, rates []float64, delta float64, handle func(Grant)) *PoissonAuthority {
-	if len(rates) == 0 || delta <= 0 {
-		panic("access: invalid weighted authority parameters")
-	}
-	total := 0.0
-	for _, r := range rates {
-		if r <= 0 {
-			panic("access: non-positive per-node rate")
+	node := appendmem.NodeID(a.seq % a.n)
+	if a.rng != nil {
+		// The weighted draw follows a discarded uniform one: the goldens
+		// pin this rng order.
+		node = appendmem.NodeID(a.rng.Intn(a.n))
+		if len(a.weights) > 0 {
+			node = appendmem.NodeID(a.rng.Pick(a.weights))
 		}
-		total += r
 	}
-	a := &PoissonAuthority{
-		s: s, rng: rng, n: len(rates),
-		rate:    total / delta,
-		weights: append([]float64(nil), rates...),
-		handle:  handle,
-	}
-	return a
+	g := Grant{Node: node, At: a.s.Now(), Seq: a.seq}
+	a.seq++
+	a.handle(g)
+	a.scheduleNext()
 }

@@ -69,6 +69,13 @@ func TestRoundClockPanics(t *testing.T) {
 	NewRoundClock(xrand.New(1, 1), 0, 1)
 }
 
+// newAuthority returns an Authority Reset to the given discipline.
+func newAuthority(s *sim.Sim, rng *xrand.PCG, n int, lambda, delta float64, rates []float64, handle func(Grant)) *Authority {
+	a := &Authority{}
+	a.Reset(s, rng, n, lambda, delta, rates, handle)
+	return a
+}
+
 func TestPoissonAuthorityRate(t *testing.T) {
 	const (
 		n       = 10
@@ -79,7 +86,7 @@ func TestPoissonAuthorityRate(t *testing.T) {
 	s := sim.New()
 	rng := xrand.New(4, 4)
 	counts := make([]int, n)
-	a := NewPoissonAuthority(s, rng, n, lambda, delta, func(g Grant) {
+	a := newAuthority(s, rng, n, lambda, delta, nil, func(g Grant) {
 		counts[g.Node]++
 	})
 	a.Start()
@@ -105,7 +112,7 @@ func TestPoissonAuthoritySeqTotalOrder(t *testing.T) {
 	s := sim.New()
 	rng := xrand.New(5, 5)
 	var grants []Grant
-	a := NewPoissonAuthority(s, rng, 3, 1, 1, func(g Grant) { grants = append(grants, g) })
+	a := newAuthority(s, rng, 3, 1, 1, nil, func(g Grant) { grants = append(grants, g) })
 	a.Start()
 	s.RunUntil(100)
 	a.Stop()
@@ -125,30 +132,40 @@ func TestPoissonAuthoritySeqTotalOrder(t *testing.T) {
 	}
 }
 
-func TestPoissonAuthorityStop(t *testing.T) {
+// checkStop runs an authority that calls Stop at its stop-th grant and
+// checks that no grant follows: Stop must halt rescheduling, so the drained
+// simulator terminates.
+func checkStop(t *testing.T, rng *xrand.PCG, rates []float64, stop int) {
+	t.Helper()
 	s := sim.New()
-	rng := xrand.New(6, 6)
 	count := 0
-	var a *PoissonAuthority
-	a = NewPoissonAuthority(s, rng, 2, 1, 1, func(Grant) {
+	var a *Authority
+	a = newAuthority(s, rng, 2, 1, 1, rates, func(Grant) {
 		count++
-		if count == 5 {
+		if count == stop {
 			a.Stop()
 		}
 	})
 	a.Start()
-	s.Run() // must terminate because Stop halts rescheduling
-	if count != 5 {
-		t.Fatalf("grants after Stop: count = %d", count)
+	s.Run()
+	if count != stop {
+		t.Fatalf("grants after Stop: count = %d, want %d", count, stop)
 	}
 }
+
+func TestPoissonAuthorityStop(t *testing.T) {
+	checkStop(t, xrand.New(6, 6), nil, 5)
+	checkStop(t, xrand.New(6, 6), []float64{1, 2}, 4) // weighted
+}
+
+func TestRoundRobinStop(t *testing.T) { checkStop(t, nil, nil, 3) }
 
 func TestPoissonAuthorityDeterministic(t *testing.T) {
 	run := func() []Grant {
 		s := sim.New()
 		rng := xrand.New(7, 7)
 		var grants []Grant
-		a := NewPoissonAuthority(s, rng, 4, 2, 1, func(g Grant) { grants = append(grants, g) })
+		a := newAuthority(s, rng, 4, 2, 1, nil, func(g Grant) { grants = append(grants, g) })
 		a.Start()
 		s.RunUntil(50)
 		a.Stop()
@@ -169,7 +186,7 @@ func TestPoissonInterArrivalExponential(t *testing.T) {
 	s := sim.New()
 	rng := xrand.New(8, 8)
 	var times []float64
-	a := NewPoissonAuthority(s, rng, 5, 1, 1, func(g Grant) { times = append(times, float64(g.At)) })
+	a := newAuthority(s, rng, 5, 1, 1, nil, func(g Grant) { times = append(times, float64(g.At)) })
 	a.Start()
 	s.RunUntil(4000)
 	a.Stop()
@@ -191,7 +208,7 @@ func TestPoissonInterArrivalExponential(t *testing.T) {
 func TestRoundRobinAuthorityCadence(t *testing.T) {
 	s := sim.New()
 	var grants []Grant
-	a := NewRoundRobinAuthority(s, 4, 0.5, 1.0, func(g Grant) { grants = append(grants, g) })
+	a := newAuthority(s, nil, 4, 0.5, 1.0, nil, func(g Grant) { grants = append(grants, g) })
 	a.Start()
 	s.RunUntil(20)
 	a.Stop()
@@ -219,38 +236,12 @@ func TestRoundRobinAuthorityCadence(t *testing.T) {
 	}
 }
 
-func TestRoundRobinStop(t *testing.T) {
-	s := sim.New()
-	count := 0
-	var a *RoundRobinAuthority
-	a = NewRoundRobinAuthority(s, 2, 1, 1, func(Grant) {
-		count++
-		if count == 3 {
-			a.Stop()
-		}
-	})
-	a.Start()
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d after Stop", count)
-	}
-}
-
-func TestRoundRobinPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad params did not panic")
-		}
-	}()
-	NewRoundRobinAuthority(sim.New(), 0, 1, 1, nil)
-}
-
 func TestWeightedPoissonAuthorityShares(t *testing.T) {
 	s := sim.New()
 	rng := xrand.New(13, 13)
 	rates := []float64{0.2, 0.8, 1.0} // total 2.0 per Δ
 	counts := make([]int, 3)
-	a := NewWeightedPoissonAuthority(s, rng, rates, 1.0, func(g Grant) { counts[g.Node]++ })
+	a := newAuthority(s, rng, 3, 0, 1.0, rates, func(g Grant) { counts[g.Node]++ })
 	a.Start()
 	s.RunUntil(2000)
 	a.Stop()
@@ -267,19 +258,125 @@ func TestWeightedPoissonAuthorityShares(t *testing.T) {
 	}
 }
 
-func TestWeightedPoissonAuthorityPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewWeightedPoissonAuthority(sim.New(), xrand.New(1, 1), nil, 1, nil) },
-		func() { NewWeightedPoissonAuthority(sim.New(), xrand.New(1, 1), []float64{1, 0}, 1, nil) },
-		func() { NewWeightedPoissonAuthority(sim.New(), xrand.New(1, 1), []float64{1}, 0, nil) },
-	} {
+// TestAuthorityWeightedDrawOrder pins the weighted discipline's rng order
+// against a clone of its stream: one exponential wait, then per grant a
+// discarded Intn(n), the Pick over the rates and the next wait. The
+// harness goldens depend on this order.
+func TestAuthorityWeightedDrawOrder(t *testing.T) {
+	rates := []float64{0.5, 1.5, 1.0, 3.0}
+	rng := xrand.New(21, 21)
+	clone := xrand.Restore(rng.State())
+	s := sim.New()
+	var grants []Grant
+	a := newAuthority(s, rng, len(rates), 0, 2.0, rates, func(g Grant) { grants = append(grants, g) })
+	a.Start()
+	s.RunUntil(50)
+	a.Stop()
+	if len(grants) < 50 {
+		t.Fatalf("only %d grants", len(grants))
+	}
+	rate := (0.5 + 1.5 + 1.0 + 3.0) / 2.0
+	at := sim.Time(clone.Exp(rate))
+	for i, g := range grants {
+		clone.Intn(len(rates))
+		node := appendmem.NodeID(clone.Pick(rates))
+		if g.Node != node || g.At != at {
+			t.Fatalf("grant %d = node %d at %v, want node %d at %v", i, g.Node, g.At, node, at)
+		}
+		at += sim.Time(clone.Exp(rate))
+	}
+}
+
+// TestAuthorityResetMatchesFresh re-arms one Authority through every
+// discipline and back; each stream must match a fresh Authority's.
+func TestAuthorityResetMatchesFresh(t *testing.T) {
+	const want = 200
+	first := func(a *Authority, s *sim.Sim, rng *xrand.PCG, rates []float64) []Grant {
+		var got []Grant
+		a.Reset(s, rng, 4, 0.5, 1.0, rates, func(g Grant) {
+			got = append(got, g)
+			if len(got) == want {
+				a.Stop()
+				s.Stop()
+			}
+		})
+		a.Start()
+		s.Run()
+		return got
+	}
+	phases := []struct {
+		name  string
+		rng   func() *xrand.PCG
+		rates []float64
+	}{
+		{"uniform", func() *xrand.PCG { return xrand.New(9, 9) }, nil},
+		{"round-robin", func() *xrand.PCG { return nil }, nil},
+		{"weighted", func() *xrand.PCG { return xrand.New(10, 10) }, []float64{0.2, 0.3, 0.5, 1.0}},
+		{"uniform again", func() *xrand.PCG { return xrand.New(11, 11) }, nil},
+	}
+	var reused Authority
+	s := sim.New()
+	for _, p := range phases {
+		s.Reset()
+		got := first(&reused, s, p.rng(), p.rates)
+		fresh := first(&Authority{}, sim.New(), p.rng(), p.rates)
+		if len(got) != want || len(fresh) != want {
+			t.Fatalf("%s: %d and %d grants, want %d", p.name, len(got), len(fresh), want)
+		}
+		for i := range got {
+			if got[i] != fresh[i] {
+				t.Fatalf("%s: grant %d = %+v after Reset, %+v fresh", p.name, i, got[i], fresh[i])
+			}
+		}
+	}
+}
+
+// resetCase is one set of Reset inputs.
+type resetCase struct {
+	name          string
+	rng           *xrand.PCG
+	n             int
+	lambda, delta float64
+	rates         []float64
+}
+
+// resetPanics checks that each case's Reset panics.
+func resetPanics(t *testing.T, cases []resetCase) {
+	t.Helper()
+	for _, c := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("%s: expected panic", c.name)
 				}
 			}()
-			f()
+			var a Authority
+			a.Reset(sim.New(), c.rng, c.n, c.lambda, c.delta, c.rates, nil)
 		}()
 	}
+}
+
+func TestPoissonAuthorityPanics(t *testing.T) {
+	resetPanics(t, []resetCase{
+		{"no nodes", xrand.New(1, 1), 0, 1, 1, nil},
+		{"zero lambda", xrand.New(1, 1), 2, 0, 1, nil},
+		{"zero delta", xrand.New(1, 1), 2, 1, 0, nil},
+	})
+}
+
+func TestRoundRobinPanics(t *testing.T) {
+	resetPanics(t, []resetCase{
+		{"no nodes", nil, 0, 1, 1, nil},
+		{"zero lambda", nil, 2, 0, 1, nil},
+		{"rates without rng", nil, 2, 0, 1, []float64{1, 1}},
+	})
+}
+
+func TestWeightedPoissonAuthorityPanics(t *testing.T) {
+	resetPanics(t, []resetCase{
+		{"empty rates", xrand.New(1, 1), 0, 0, 1, []float64{}},
+		{"non-positive rate", xrand.New(1, 1), 2, 0, 1, []float64{1, 0}},
+		{"zero delta", xrand.New(1, 1), 1, 0, 0, []float64{1}},
+		{"rate count", xrand.New(1, 1), 3, 0, 1, []float64{1, 1}},
+	})
 }

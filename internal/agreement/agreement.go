@@ -2,9 +2,9 @@
 // randomized-access Byzantine agreement protocols of Section 5: the
 // timestamp baseline (Algorithm 4), the Chain (Algorithm 5) and the DAG
 // (Algorithm 6). The three protocols differ only in how an honest node
-// appends and when/how it decides; everything else — the Poisson token
-// authority, the bounded-staleness read schedule of synchronous nodes, the
-// crash model, outcome collection — is identical and lives here.
+// appends and when/how it decides; everything else — the token authority
+// (access.Authority), the bounded-staleness read schedule of synchronous
+// nodes, the crash model, outcome collection — is identical and lives here.
 //
 // # Timing model
 //
@@ -29,10 +29,12 @@
 // restore from a Checkpoint, schedule, the event loop, collect. The base
 // loop is two events: a grant (the adversary or a correct node appends,
 // then the shared epilogue appended runs) and a node's periodic read
-// (refresh the view, try to decide). Each optional feature is one method
-// behind a single zero-value check at its call site: topology visibility
-// (vis), stalls (maybeStall), async delays (delayedAppend), tracing,
-// windowed retirement (window.go) and checkpoints (checkpoint.go).
+// (refresh the view, try to decide). The run holds its authority by value
+// and binds both events once per pooled run, not once per trial. Each
+// optional feature is one method behind a single zero-value check at its
+// call site: topology visibility (vis), stalls (maybeStall), async delays
+// (delayedAppend), tracing, windowed retirement (window.go) and
+// checkpoints (checkpoint.go).
 package agreement
 
 import (
@@ -55,7 +57,8 @@ type RandomizedConfig struct {
 	T      int     // Byzantine nodes (the last T ids)
 	Lambda float64 // token rate per node per Delta
 	// Rates, when non-nil, gives each node its own token rate per Delta —
-	// heterogeneous "hashing power". Overrides Lambda; len must equal N.
+	// heterogeneous "hashing power" under weighted Poisson access.
+	// Overrides Lambda and RoundRobinAccess; len must equal N.
 	Rates []float64
 	Delta float64 // synchrony bound; 0 means 1.0
 	K     int     // decision threshold (number of values); should be odd
@@ -86,9 +89,11 @@ type RandomizedConfig struct {
 	StallAtSize int
 	StallFor    float64 // in multiples of Delta; 0 means 8
 
-	// RoundRobinAccess replaces the Poisson token authority with the
-	// burst-free deterministic round-robin authority at the same aggregate
-	// rate — the access-discipline ablation of experiment E17.
+	// RoundRobinAccess replaces Poisson token arrivals with the burst-free
+	// deterministic round-robin cadence at the same aggregate rate — the
+	// access-discipline ablation of experiment E17. Rates take precedence:
+	// with Rates set the run uses weighted Poisson access and ignores this
+	// flag (scenario.Bind rejects specs that ask for both).
 	RoundRobinAccess bool
 
 	// AsyncDelayMax > 0 makes the honest nodes asynchronous in the sense
@@ -372,7 +377,8 @@ func RunRandomized(cfg RandomizedConfig, rule HonestRule, adv Adversary) (*Resul
 
 // run is the state of one trial, shared by its event handlers. Runs are
 // pooled (runner.Pool slots survive GC cycles), so trials reuse the event
-// heap, the per-node slice and each node's bound read event.
+// heap, the per-node slice, the authority with its bound grant event, the
+// bound grant callback and each node's bound read event.
 type run struct {
 	cfg       RandomizedConfig
 	sim       *sim.Sim
@@ -381,7 +387,8 @@ type run struct {
 	outcome   *node.Outcome
 	result    *Result
 	adversary Adversary
-	authority authority
+	authority access.Authority
+	onGrant   func(access.Grant) // grant, bound once per pooled run
 	nodes     []nodeRun
 
 	rngAuthority, rngAdversary, rngVis xrand.PCG
@@ -408,16 +415,11 @@ type nodeRun struct {
 	read    func()   // the read event, bound once per pooled run
 }
 
-// authority is the access discipline issuing grants.
-type authority interface {
-	Start()
-	Stop()
-	Issued() int
-	NextAt() sim.Time
-	ResumeAt(seq int, at sim.Time)
-}
-
-var runPool = runner.NewPool(func() *run { return &run{sim: sim.New(), pooledVis: &access.Visibility{}} })
+var runPool = runner.NewPool(func() *run {
+	r := &run{sim: sim.New(), pooledVis: &access.Visibility{}}
+	r.onGrant = r.grant
+	return r
+})
 
 // release drops every reference into the finished trial (the Memory
 // escapes into the Result) and returns the run to the pool.
@@ -427,7 +429,7 @@ func (r *run) release() {
 		r.nodes[i] = nodeRun{read: r.nodes[i].read}
 	}
 	r.pooledVis.Unbind()
-	*r = run{sim: r.sim, nodes: r.nodes[:0], pooledVis: r.pooledVis}
+	*r = run{sim: r.sim, nodes: r.nodes[:0], pooledVis: r.pooledVis, authority: r.authority, onGrant: r.onGrant}
 	runPool.Put(r)
 }
 
@@ -484,14 +486,11 @@ func (r *run) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) error 
 			nd.readAt = sim.Time(root.Float64() * cfg.Delta)
 		}
 	}
-	switch {
-	case cfg.Rates != nil:
-		r.authority = access.NewWeightedPoissonAuthority(r.sim, &r.rngAuthority, cfg.Rates, cfg.Delta, r.grant)
-	case cfg.RoundRobinAccess:
-		r.authority = access.NewRoundRobinAuthority(r.sim, cfg.N, cfg.Lambda, cfg.Delta, r.grant)
-	default:
-		r.authority = access.NewPoissonAuthority(r.sim, &r.rngAuthority, cfg.N, cfg.Lambda, cfg.Delta, r.grant)
+	rng := &r.rngAuthority
+	if cfg.RoundRobinAccess && cfg.Rates == nil {
+		rng = nil // the round-robin cadence
 	}
+	r.authority.Reset(r.sim, rng, cfg.N, cfg.Lambda, cfg.Delta, cfg.Rates, r.onGrant)
 	if cfg.Window > 0 {
 		return r.windowed(rule)
 	}

@@ -29,9 +29,9 @@ func TestRunAllocs(t *testing.T) {
 		rule agreement.HonestRule
 		max  float64
 	}{
-		{"chain", base, chainba.Rule{TB: chain.FirstTieBreaker{}}, 334},
-		{"dag", base, dagba.Rule{Pivot: dagba.Ghost}, 520},
-		{"dag-smallworld", gossip, dagba.Rule{Pivot: dagba.Ghost}, 1468},
+		{"chain", base, chainba.Rule{TB: chain.FirstTieBreaker{}}, 331},
+		{"dag", base, dagba.Rule{Pivot: dagba.Ghost}, 517},
+		{"dag-smallworld", gossip, dagba.Rule{Pivot: dagba.Ghost}, 1465},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			trial := func() { agreement.MustRun(c.cfg, c.rule, &agreement.ValueFlip{Rule: c.rule}) }

@@ -33,16 +33,17 @@ import (
 // harder to perturb late — experiment E19 measures how much that buys each
 // structure.
 //
-// The zero value is stateless and rebuilds the chain index on every call.
-// The agreement harness instead drives each correct node through
-// NewNodeRule, whose per-node cached indexes extend with the node's
-// monotonically growing view (see chain.Cached); behaviour is identical
-// either way.
+// A Rule without per-node handles (the zero value, or one shared rule)
+// rebuilds the chain index on every call: its nil chain.Cached handles are
+// stateless. The agreement harness instead drives each correct node
+// through NewNodeRule, whose per-node handles extend their indexes with
+// the node's monotonically growing view; behaviour is identical either
+// way.
 type Rule struct {
 	TB      chain.TieBreaker
 	Confirm int
 
-	// Per-node incremental indexes, nil in the shared zero value. Appends
+	// Per-node index handles, nil (stateless) in the shared rule. Appends
 	// and decisions hold separate handles because their view streams
 	// advance independently (an append may use a view older than the last
 	// decision's refresh, e.g. under -FreshHonestReads decisions).
@@ -56,20 +57,11 @@ func (r Rule) NewNodeRule() agreement.HonestRule {
 	return r
 }
 
-// tree indexes view through c when the rule carries per-node caches, else
-// from scratch.
-func tree(c *chain.Cached, view appendmem.View) *chain.Tree {
-	if c != nil {
-		return c.At(view)
-	}
-	return chain.Build(view)
-}
-
 // Append extends the tie-broken longest chain of the node's view with the
 // node's input value. On an empty view the block attaches to the genesis.
 func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, rng *xrand.PCG) {
 	tip := appendmem.None
-	if tips := tree(r.app, view).LongestTips(); len(tips) > 0 {
+	if tips := r.app.At(view).LongestTips(); len(tips) > 0 {
 		tip = r.TB.Pick(tips, view, rng)
 	}
 	w.MustAppend(input, 0, []appendmem.MsgID{tip})
@@ -78,7 +70,7 @@ func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, rng 
 // Decide fires once the view contains a longest chain of length at least k
 // and returns the sign of the sum of that chain's first k values.
 func (r Rule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
-	t := tree(r.dec, view)
+	t := r.dec.At(view)
 	if t.Height() < k+r.Confirm {
 		return 0, false
 	}
@@ -88,46 +80,18 @@ func (r Rule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
 }
 
 // ViewFloor implements agreement.WindowedRule: the smallest id this node's
-// future appends or index extensions can reach, over both cached indexes.
-// Zero for the stateless shared rule, which caches nothing.
-func (r Rule) ViewFloor() int {
-	if r.app == nil || r.dec == nil {
-		return 0
-	}
-	f := r.app.Floor()
-	if d := r.dec.Floor(); d < f {
-		f = d
-	}
-	return f
-}
+// future appends or index extensions can reach, over both handles. Zero
+// for the shared rule, whose nil handles cache nothing.
+func (r Rule) ViewFloor() int { return min(r.app.Floor(), r.dec.Floor()) }
 
-// CompactTo implements agreement.WindowedRule by compacting both cached
+// CompactTo implements agreement.WindowedRule by compacting both handles'
 // indexes; the watermark achieved is the smaller of the two.
-func (r Rule) CompactTo(w int) int {
-	if r.app == nil || r.dec == nil {
-		return 0
-	}
-	wa, wd := r.app.CompactTo(w), r.dec.CompactTo(w)
-	if wd < wa {
-		wa = wd
-	}
-	return wa
-}
+func (r Rule) CompactTo(w int) int { return min(r.app.CompactTo(w), r.dec.CompactTo(w)) }
 
 // AppendFloor implements agreement.AppendWindowed: the floor of the
-// append-side cache alone, for consumers (the fresh-reading adversary)
+// append-side handle alone, for consumers (the fresh-reading adversary)
 // that never exercise the decision path.
-func (r Rule) AppendFloor() int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.Floor()
-}
+func (r Rule) AppendFloor() int { return r.app.Floor() }
 
 // CompactAppendTo implements agreement.AppendWindowed.
-func (r Rule) CompactAppendTo(w int) int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.CompactTo(w)
-}
+func (r Rule) CompactAppendTo(w int) int { return r.app.CompactTo(w) }

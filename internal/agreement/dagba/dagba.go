@@ -53,16 +53,17 @@ func (p PivotRule) Pivot(d *dag.Dag) []appendmem.MsgID {
 // only once the ordering covers k+c values, making late insertion into the
 // decision prefix (Lemma 5.5's attack) land beyond position k.
 //
-// The zero value is stateless and rebuilds the DAG index on every call.
-// The agreement harness instead drives each correct node through
-// NewNodeRule, whose per-node cached indexes extend with the node's
-// monotonically growing view (see dag.Cached); behaviour is identical
-// either way.
+// A Rule without per-node handles (the zero value, or one shared rule)
+// rebuilds the DAG index on every call: its nil dag.Cached handles are
+// stateless. The agreement harness instead drives each correct node
+// through NewNodeRule, whose per-node handles extend their indexes with
+// the node's monotonically growing view; behaviour is identical either
+// way.
 type Rule struct {
 	Pivot   PivotRule
 	Confirm int
 
-	// Per-node incremental indexes, nil in the shared zero value. Appends
+	// Per-node index handles, nil (stateless) in the shared rule. Appends
 	// and decisions hold separate handles because their view streams
 	// advance independently.
 	app, dec *dag.Cached
@@ -75,19 +76,10 @@ func (r Rule) NewNodeRule() agreement.HonestRule {
 	return r
 }
 
-// index indexes view through c when the rule carries per-node caches, else
-// from scratch.
-func index(c *dag.Cached, view appendmem.View) *dag.Dag {
-	if c != nil {
-		return c.At(view)
-	}
-	return dag.Build(view)
-}
-
 // Append references all tips of the node's view, pivot tip first (the
 // selected parent), and carries the node's input value.
 func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, _ *xrand.PCG) {
-	d := index(r.app, view)
+	d := r.app.At(view)
 	tips := d.Tips()
 	if len(tips) == 0 {
 		w.MustAppend(input, 0, nil)
@@ -108,7 +100,7 @@ func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, _ *x
 // Decide fires once the pivot-chain ordering covers at least k values and
 // returns the sign of the sum of the first k ordered values.
 func (r Rule) Decide(view appendmem.View, k int, _ *xrand.PCG) (int64, bool) {
-	d := index(r.dec, view)
+	d := r.dec.At(view)
 	pivot := r.Pivot.Pivot(d)
 	vals := d.OrderedValues(pivot, k+r.Confirm)
 	if len(vals) < k+r.Confirm {
@@ -121,51 +113,23 @@ func (r Rule) Decide(view appendmem.View, k int, _ *xrand.PCG) (int64, bool) {
 // experiments to analyse the Byzantine composition of the first k values
 // (Lemma 5.5).
 func (r Rule) Ordering(view appendmem.View) []appendmem.MsgID {
-	d := index(r.dec, view)
+	d := r.dec.At(view)
 	return d.Linearize(r.Pivot.Pivot(d))
 }
 
 // ViewFloor implements agreement.WindowedRule: the smallest id this node's
-// future appends or index extensions can reach, over both cached indexes.
-// Zero for the stateless shared rule, which caches nothing.
-func (r Rule) ViewFloor() int {
-	if r.app == nil || r.dec == nil {
-		return 0
-	}
-	f := r.app.Floor()
-	if d := r.dec.Floor(); d < f {
-		f = d
-	}
-	return f
-}
+// future appends or index extensions can reach, over both handles. Zero
+// for the shared rule, whose nil handles cache nothing.
+func (r Rule) ViewFloor() int { return min(r.app.Floor(), r.dec.Floor()) }
 
-// CompactTo implements agreement.WindowedRule by compacting both cached
+// CompactTo implements agreement.WindowedRule by compacting both handles'
 // indexes; the watermark achieved is the smaller of the two.
-func (r Rule) CompactTo(w int) int {
-	if r.app == nil || r.dec == nil {
-		return 0
-	}
-	wa, wd := r.app.CompactTo(w), r.dec.CompactTo(w)
-	if wd < wa {
-		wa = wd
-	}
-	return wa
-}
+func (r Rule) CompactTo(w int) int { return min(r.app.CompactTo(w), r.dec.CompactTo(w)) }
 
 // AppendFloor implements agreement.AppendWindowed: the floor of the
-// append-side cache alone, for consumers (the fresh-reading adversary)
+// append-side handle alone, for consumers (the fresh-reading adversary)
 // that never exercise the decision path.
-func (r Rule) AppendFloor() int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.Floor()
-}
+func (r Rule) AppendFloor() int { return r.app.Floor() }
 
 // CompactAppendTo implements agreement.AppendWindowed.
-func (r Rule) CompactAppendTo(w int) int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.CompactTo(w)
-}
+func (r Rule) CompactAppendTo(w int) int { return r.app.CompactTo(w) }

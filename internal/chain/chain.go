@@ -417,8 +417,10 @@ func (t *Tree) PrefixValues(tip appendmem.MsgID, k int) []int64 {
 // asynchronous node's stale append view) it falls back to a from-scratch
 // Build, so it is always correct and only *fast* in the monotone case.
 //
-// The zero value is not ready; use NewCached. A Cached must not be shared
-// across goroutines.
+// The zero value is not ready; use NewCached. A nil *Cached is a valid
+// stateless handle: its At builds from scratch on every call and its
+// Floor and CompactTo return 0. A Cached must not be shared across
+// goroutines.
 type Cached struct {
 	t *Tree
 }
@@ -429,8 +431,11 @@ func NewCached() *Cached { return &Cached{} }
 // At returns the index of view, extending the previously returned index
 // when view is a forward read of the same memory. The returned Tree is
 // owned by the handle and is invalidated (re-pointed at a larger view) by
-// the next At call.
+// the next At call. On a nil handle At is Build.
 func (c *Cached) At(view appendmem.View) *Tree {
+	if c == nil {
+		return Build(view)
+	}
 	if c.t != nil && c.t.view.SubsetOf(view) {
 		c.t.Extend(view)
 		return c.t
@@ -441,11 +446,11 @@ func (c *Cached) At(view appendmem.View) *Tree {
 
 // Floor returns the smallest id the handle may still touch on its next At
 // or append decision: the minimum of the held index's tip floor and its
-// built size (an Extend reads the memory from there). 0 when no index has
-// been built yet — such a consumer would Build from id 0, so nothing may
-// be retired under it.
+// built size (an Extend reads the memory from there). 0 on a nil handle
+// or before the first At — such a consumer would Build from id 0, so
+// nothing may be retired under it.
 func (c *Cached) Floor() int {
-	if c.t == nil {
+	if c == nil || c.t == nil {
 		return 0
 	}
 	f := c.t.built
@@ -456,9 +461,9 @@ func (c *Cached) Floor() int {
 }
 
 // CompactTo forwards Compact(reqW) to the held index and returns the
-// watermark achieved; 0 when no index exists yet.
+// watermark achieved; 0 on a nil handle or when no index exists yet.
 func (c *Cached) CompactTo(reqW int) int {
-	if c.t == nil {
+	if c == nil || c.t == nil {
 		return 0
 	}
 	return c.t.Compact(reqW)

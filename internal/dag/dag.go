@@ -790,8 +790,10 @@ func (d *Dag) Compact(reqW int) int {
 // asynchronous node's stale append view) it falls back to a from-scratch
 // Build, so it is always correct and only *fast* in the monotone case.
 //
-// The zero value is not ready; use NewCached. A Cached must not be shared
-// across goroutines.
+// The zero value is not ready; use NewCached. A nil *Cached is a valid
+// stateless handle: its At builds from scratch on every call and its
+// Floor and CompactTo return 0. A Cached must not be shared across
+// goroutines.
 type Cached struct {
 	d *Dag
 }
@@ -802,8 +804,11 @@ func NewCached() *Cached { return &Cached{} }
 // At returns the index of view, extending the previously returned index
 // when view is a forward read of the same memory. The returned Dag is
 // owned by the handle and is invalidated (re-pointed at a larger view) by
-// the next At call.
+// the next At call. On a nil handle At is Build.
 func (c *Cached) At(view appendmem.View) *Dag {
+	if c == nil {
+		return Build(view)
+	}
 	if c.d != nil && c.d.view.SubsetOf(view) {
 		c.d.Extend(view)
 		return c.d
@@ -814,9 +819,10 @@ func (c *Cached) At(view appendmem.View) *Dag {
 
 // Floor returns the smallest id the handle's future extensions or appends
 // can reach: the minimum of the built prefix (extensions read from there)
-// and the tip floor (parents draw from the tips). 0 before the first At.
+// and the tip floor (parents draw from the tips). 0 on a nil handle or
+// before the first At.
 func (c *Cached) Floor() int {
-	if c.d == nil {
+	if c == nil || c.d == nil {
 		return 0
 	}
 	f := c.d.built
@@ -827,9 +833,9 @@ func (c *Cached) Floor() int {
 }
 
 // CompactTo forwards Compact(reqW) to the held index and returns the
-// watermark achieved; 0 when no index exists yet.
+// watermark achieved; 0 on a nil handle or when no index exists yet.
 func (c *Cached) CompactTo(reqW int) int {
-	if c.d == nil {
+	if c == nil || c.d == nil {
 		return 0
 	}
 	return c.d.Compact(reqW)

@@ -213,15 +213,21 @@ func TestDifferentialExtendVsBuild(t *testing.T) {
 
 // TestCachedFallsBackOnRegression: a Cached handle handed non-monotone view
 // sizes (stale async reads) must still answer exactly like Build — the
-// rebuild fallback, not a wrong in-place answer.
+// rebuild fallback, not a wrong in-place answer — and so must a nil
+// handle.
 func TestCachedFallsBackOnRegression(t *testing.T) {
 	rng := xrand.New(5, 99)
 	m := adversarialHistory(rng, 60)
 	c := NewCached()
+	var none *Cached // stateless: At is Build, and it pins and retires nothing
 	sizes := []int{10, 25, 25, 7, 40, 12, 60, 60, 3, 55}
 	for _, s := range sizes {
 		view := m.ViewAt(s)
 		assertSameDag(t, s, c.At(view), Build(view))
+		assertSameDag(t, s, none.At(view), Build(view))
+	}
+	if f, w := none.Floor(), none.CompactTo(30); f != 0 || w != 0 {
+		t.Fatalf("nil handle: Floor %d, CompactTo %d, want 0 and 0", f, w)
 	}
 }
 

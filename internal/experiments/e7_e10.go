@@ -24,8 +24,8 @@ func maxByzGapBurst(seed uint64, n, t int, lambda float64, grants int) int {
 	s := sim.New()
 	rng := xrand.New(seed, 0xE7)
 	maxBurst, burst := 0, 0
-	var authority *access.PoissonAuthority
-	authority = access.NewPoissonAuthority(s, rng, n, lambda, 1.0, func(g access.Grant) {
+	var authority access.Authority
+	authority.Reset(s, rng, n, lambda, 1.0, nil, func(g access.Grant) {
 		if int(g.Node) >= n-t {
 			burst++
 			if burst > maxBurst {

@@ -194,6 +194,9 @@ func Bind(spec Spec) (*Bound, error) {
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown access model %q (have %s)", accessName, AccessModels.Help())
 	}
+	if spec.Rates != nil && accessName != AccessPoisson {
+		return nil, fmt.Errorf("scenario: access model %q does not combine with per-node rates (rates imply weighted Poisson access)", accessName)
+	}
 	if err := b.bindTopology(); err != nil {
 		return nil, err
 	}

@@ -48,6 +48,7 @@ func TestBindErrors(t *testing.T) {
 		{"rate non-positive", Spec{Protocol: Chain, N: 4, Rates: []float64{1, 1, 0, 1}, K: 5}, "non-positive"},
 		{"round-robin on sync", Spec{Protocol: Sync, N: 4, T: 1, Access: AccessRoundRobin}, "randomized protocols only"},
 		{"unknown access", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Access: "lottery"}, "unknown access"},
+		{"round-robin with rates", Spec{Protocol: Chain, N: 4, T: 1, K: 9, Rates: []float64{1, 1, 1, 1}, Access: AccessRoundRobin}, "per-node rates"},
 		{"confirm on timestamp", Spec{Protocol: Timestamp, N: 4, Lambda: 1, K: 5, Confirm: 3}, "confirm"},
 	})
 	// Unknown names and attacks bound to a protocol they do not target.
