@@ -1,6 +1,8 @@
 package dolev
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/appendmem"
@@ -205,5 +207,73 @@ func TestSenderEquivocationWithOneRoundMaySplit(t *testing.T) {
 	}
 	if split == 0 {
 		t.Fatal("one-round runs never split under sender equivocation")
+	}
+}
+
+// sendLog is an adversary that stays silent and logs every send of the
+// run through the network's drop filter, dropping nothing.
+type sendLog struct{ sends []msgnet.Envelope }
+
+func (a *sendLog) Init(env *Env) {
+	env.NW.SetDrop(func(e msgnet.Envelope) bool {
+		a.sends = append(a.sends, e)
+		return false
+	})
+}
+
+func (a *sendLog) Round(int) {}
+
+// The network draws one delay per send, so the order in which the honest
+// nodes send fixes which message gets which delay. Two runs with the same
+// seed must send in the same (From, To) order.
+func TestRunSendOrderDeterministic(t *testing.T) {
+	order := func() []string {
+		log := &sendLog{}
+		MustRun(Config{N: 7, T: 3, Seed: 5, Adversary: log})
+		out := make([]string, len(log.sends))
+		for i, e := range log.sends {
+			out[i] = fmt.Sprintf("%d>%d", e.From, e.To)
+		}
+		return out
+	}
+	want := order()
+	if len(want) == 0 {
+		t.Fatal("no sends logged")
+	}
+	for rep := 0; rep < 5; rep++ {
+		if got := order(); !slices.Equal(got, want) {
+			t.Fatalf("repeat %d sent in a different order:\n got %v\nwant %v", rep, got, want)
+		}
+	}
+}
+
+// In a run without Byzantine senders every relay that reaches a correct
+// node has its whole chain verified, so ed25519 runs once per distinct
+// (signer, signed bytes, sig) triple on the wire to a correct node and
+// every other check is a memo hit.
+func TestVerifyMemoCountsDistinctTriples(t *testing.T) {
+	log := &sendLog{}
+	r := MustRun(Config{N: 5, T: 2, Seed: 1, Adversary: log})
+	distinct := map[string]bool{}
+	for _, e := range log.sends {
+		if r.Roster.IsByzantine(e.To) {
+			continue // registered to a no-op handler: never verified
+		}
+		m, err := unmarshalMessage(e.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := payloadBytes(m.Instance, m.Value)
+		for i, c := range m.Chain {
+			distinct[fmt.Sprintf("%d|%x|%x", c.Signer, signedSoFar(payload, m.Chain, i), c.Sig)] = true
+		}
+	}
+	st := r.Stats
+	if got := st.Verifies - st.VerifyHits; got != len(distinct) {
+		t.Fatalf("ed25519 runs = %d (Verifies %d − VerifyHits %d), distinct triples = %d",
+			got, st.Verifies, st.VerifyHits, len(distinct))
+	}
+	if st.VerifyHits == 0 {
+		t.Fatalf("no memo hits in %d verifications", st.Verifies)
 	}
 }

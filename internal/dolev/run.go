@@ -127,7 +127,10 @@ func Run(cfg Config) (*Result, error) {
 	nw := msgnet.New(s, rng, cfg.N, 0.9)
 	roster := node.NewRoster(cfg.N, cfg.T)
 
-	honest := make(map[appendmem.NodeID]*honestNode)
+	// honest is indexed by node id (nil for a Byzantine node) and walked in
+	// id order, so the network's per-send delay draws follow a fixed send
+	// order and a seed fixes the whole delivery schedule.
+	honest := make([]*honestNode, cfg.N)
 	byzSigners := make(map[appendmem.NodeID]*msgnet.Signer)
 	for i := 0; i < cfg.N; i++ {
 		id := appendmem.NodeID(i)
@@ -145,11 +148,14 @@ func Run(cfg Config) (*Result, error) {
 	// Round 1: every correct node starts its own instance.
 	s.At(0, func() {
 		cfg.Adversary.Round(1)
-		for id, h := range honest {
-			m := extend(h.signer, message{Instance: id, Value: cfg.Inputs[id]})
+		for _, h := range honest {
+			if h == nil {
+				continue
+			}
+			m := extend(h.signer, message{Instance: h.id, Value: cfg.Inputs[h.id]})
 			h.extract(m) // the sender extracts its own value
 			for i := 0; i < cfg.N; i++ {
-				nw.Send(id, appendmem.NodeID(i), kindRelay, m.marshal())
+				nw.Send(h.id, appendmem.NodeID(i), kindRelay, m.marshal())
 			}
 		}
 	})
@@ -161,7 +167,9 @@ func Run(cfg Config) (*Result, error) {
 				cfg.Adversary.Round(r)
 			}
 			for _, h := range honest {
-				h.processInbox(r-1, cfg.Rounds)
+				if h != nil {
+					h.processInbox(r-1, cfg.Rounds)
+				}
 			}
 		})
 	}
@@ -177,12 +185,11 @@ func Run(cfg Config) (*Result, error) {
 		Stats:      nw.Stats(),
 	}
 	var reference []int64
-	for i := 0; i < cfg.N; i++ {
-		id := appendmem.NodeID(i)
-		h, ok := honest[id]
-		if !ok {
+	for i, h := range honest {
+		if h == nil {
 			continue
 		}
+		id := appendmem.NodeID(i)
 		vec := make([]int64, cfg.N)
 		var sum int64
 		for sdr := 0; sdr < cfg.N; sdr++ {

@@ -181,3 +181,80 @@ func TestOracleEqualTimestampDrainOrder(t *testing.T) {
 		t.Fatalf("order = %v, want %s", order, want)
 	}
 }
+
+// TestVerifyMemoRejectsForgeries checks triples that must fail
+// verification even though they sit next to the valid triple (0, data,
+// sig): forgeries over the same data, the valid sig under another id,
+// tampered data, and sigs of the wrong length, including those whose bytes
+// run on into the data exactly like the valid triple's. Each case runs
+// once after the valid triple is cached and once on an empty memo, where
+// the valid triple must still verify after the forgery's result is cached.
+func TestVerifyMemoRejectsForgeries(t *testing.T) {
+	data := []byte("the record every recipient checks")
+	_, keys := newNet(3)
+	sig := keys.Signer(0).Sign(data)
+	flipped := append([]byte(nil), sig...)
+	flipped[0] ^= 1
+	tampered := append([]byte(nil), data...)
+	tampered[len(tampered)-1] ^= 1
+	cases := []struct {
+		name string
+		id   appendmem.NodeID
+		data []byte
+		sig  []byte
+	}{
+		{"another signer's sig", 0, data, keys.Signer(1).Sign(data)},
+		{"one sig bit flipped", 0, data, flipped},
+		{"valid sig under another id", 1, data, sig},
+		{"tampered data", 0, tampered, sig},
+		{"extended data", 0, append(append([]byte(nil), data...), 0), sig},
+		{"sig[:63], sig[63:]‖data", 0, append(append([]byte(nil), sig[63:]...), data...), sig[:63]},
+		{"sig‖data[0], data[1:]", 0, data[1:], append(append([]byte(nil), sig...), data[0])},
+		{"empty sig", 0, append(append([]byte(nil), sig...), data...), nil},
+	}
+	for _, c := range cases {
+		for _, cached := range []bool{true, false} {
+			_, nw := newNet(3) // same keys, empty memo
+			if cached && !nw.Verify(0, data, sig) {
+				t.Fatal("valid signature rejected")
+			}
+			if nw.Verify(c.id, c.data, c.sig) {
+				t.Errorf("cached=%v: %s accepted", cached, c.name)
+			}
+			if !nw.Verify(0, data, sig) {
+				t.Fatalf("cached=%v: valid signature rejected after %s", cached, c.name)
+			}
+		}
+	}
+}
+
+// An invalid result, once cached, stays invalid; calls rejected for an
+// unknown signer or a malformed sig never reach the memo or the counters.
+func TestVerifyMemoCachesInvalid(t *testing.T) {
+	_, nw := newNet(3)
+	data := []byte("the record")
+	forged := nw.Signer(2).Sign(data)
+	for i := 0; i < 3; i++ {
+		if nw.Verify(0, data, forged) {
+			t.Fatalf("call %d: forged signature accepted", i)
+		}
+	}
+	nw.Verify(0, data, forged[:10])
+	nw.Verify(7, data, forged)
+	if st := nw.Stats(); st.Verifies != 3 || st.VerifyHits != 2 {
+		t.Fatalf("Verifies = %d, VerifyHits = %d; want 3 and 2", st.Verifies, st.VerifyHits)
+	}
+	if !nw.Verify(2, data, forged) {
+		t.Fatal("the signature is valid under its real signer")
+	}
+}
+
+func TestVerifyMemoHitDoesNotAllocate(t *testing.T) {
+	_, nw := newNet(3)
+	data := []byte("the record")
+	sig := nw.Signer(1).Sign(data)
+	nw.Verify(1, data, sig)
+	if a := testing.AllocsPerRun(100, func() { nw.Verify(1, data, sig) }); a != 0 {
+		t.Fatalf("memo hit allocates %v times", a)
+	}
+}
