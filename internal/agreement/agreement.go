@@ -231,13 +231,40 @@ type HonestRule interface {
 // PerNodeState is optionally implemented by HonestRules that keep per-node
 // incremental state — e.g. cached substrate indexes that extend with the
 // node's monotonically growing view instead of rebuilding per read.
-// RunRandomized calls NewNodeRule once per correct node and drives that
-// node exclusively through the returned instance; a rule without it is
-// shared, stateless, across all nodes. The returned rule must decide and
-// append exactly like the original: per-node state is a performance
-// vehicle, never a behavioural one.
+// Unless PerRunState takes precedence, RunRandomized calls NewNodeRule
+// once per correct node and drives that node exclusively through the
+// returned instance; a rule with neither is shared, stateless, across all
+// nodes. The returned rule must decide and append exactly like the
+// original: per-node state is a performance vehicle, never a behavioural
+// one. Windowed runs, the ValueFlip adversary and wrappers that expose
+// only this hook keep the per-node path.
 type PerNodeState interface {
 	NewNodeRule() HonestRule
+}
+
+// PerRunState is optionally implemented by HonestRules whose correct nodes
+// can share one index per trial. Every view a node reads is a prefix of
+// the trial's memory, so one index extended in arrival order can answer
+// each node at its own view's size. On the unbounded path (Window == 0)
+// RunRandomized calls NewRunRule once per trial and drives every correct
+// node through the returned rule instead of asking PerNodeState for one
+// instance per node. Like PerNodeState it is a performance vehicle: the
+// run rule must append and decide exactly like per-node instances.
+type PerRunState interface {
+	NewRunRule() RunRule
+}
+
+// RunRule is the rule one trial's correct nodes share. The run binds it to
+// its memory with Reset before the first event — and again after a
+// checkpoint restore swaps the memory for a clone — and hands it back
+// with Release when the trial ends.
+type RunRule interface {
+	HonestRule
+	// Reset binds the rule to mem, dropping everything indexed before.
+	Reset(mem *appendmem.Memory)
+	// Release returns the rule's index storage for reuse by a later trial;
+	// the rule is not used afterwards.
+	Release()
 }
 
 // nodeRule returns the per-node instance of rule when it keeps per-node
@@ -390,6 +417,7 @@ type run struct {
 	authority access.Authority
 	onGrant   func(access.Grant) // grant, bound once per pooled run
 	nodes     []nodeRun
+	shared    RunRule // the correct nodes' rule under PerRunState; nil otherwise
 
 	rngAuthority, rngAdversary, rngVis xrand.PCG
 
@@ -407,7 +435,7 @@ type run struct {
 // nodeRun is one node's share of a run. A Byzantine node has no rule and
 // is never scheduled to read.
 type nodeRun struct {
-	rule    HonestRule // the node's own instance (see PerNodeState)
+	rule    HonestRule // the run's shared rule, or the node's own instance (see PerNodeState)
 	rng     xrand.PCG
 	view    appendmem.View // the last refreshed view, which appends use
 	crashAt sim.Time
@@ -429,6 +457,9 @@ func (r *run) release() {
 		r.nodes[i] = nodeRun{read: r.nodes[i].read}
 	}
 	r.pooledVis.Unbind()
+	if r.shared != nil {
+		r.shared.Release()
+	}
 	*r = run{sim: r.sim, nodes: r.nodes[:0], pooledVis: r.pooledVis, authority: r.authority, onGrant: r.onGrant}
 	runPool.Put(r)
 }
@@ -460,6 +491,10 @@ func (r *run) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) error 
 		r.pooledVis.Rebind(r.sim, &r.rngVis, cfg.Topology, cfg.TopologyDelay, r.mem)
 		r.vis = r.pooledVis
 	}
+	if p, ok := rule.(PerRunState); ok && cfg.Window == 0 {
+		r.shared = p.NewRunRule()
+		r.shared.Reset(r.mem)
+	}
 	r.roster = node.NewRoster(cfg.N, cfg.T).WithCrashes(cfg.Crashes)
 	r.outcome = node.NewOutcome(cfg.N)
 	r.result = &Result{Cfg: cfg, Roster: r.roster, Inputs: cfg.Inputs, Outcome: r.outcome,
@@ -477,7 +512,11 @@ func (r *run) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) error 
 		if r.roster.Role(id) == node.Crash {
 			nd.crashAt = sim.Time(root.Float64()) * r.expDuration()
 		}
-		if !r.roster.IsByzantine(id) {
+		switch {
+		case r.roster.IsByzantine(id):
+		case r.shared != nil:
+			nd.rule = r.shared
+		default:
 			nd.rule = nodeRule(rule)
 		}
 	}

@@ -15,9 +15,11 @@ import (
 // for the chain and the DAG rule against a value-flipping adversary on its
 // default path (no topology, window, stall, async delay, checkpoint or
 // trace), and for the DAG rule flooding over a small-world topology. The
-// counts cover the whole trial: the memory, the rules' indexes, the
-// visibility state and the Result. A harness change that adds per-trial or
-// per-event allocations fails here before it shows in a sweep.
+// counts cover the whole trial: the memory, the correct nodes' shared
+// index (pooled, so warm trials reuse its storage), the adversary's own
+// index, the visibility state and the Result. A harness change that adds
+// per-trial or per-event allocations fails here before it shows in a
+// sweep.
 func TestRunAllocs(t *testing.T) {
 	base := agreement.RandomizedConfig{N: 9, T: 3, Lambda: 0.5, K: 41, Crashes: 1, Seed: 5}
 	gossip := agreement.RandomizedConfig{N: 32, T: 0, Lambda: 0.2, K: 21, Seed: 5,
@@ -29,9 +31,9 @@ func TestRunAllocs(t *testing.T) {
 		rule agreement.HonestRule
 		max  float64
 	}{
-		{"chain", base, chainba.Rule{TB: chain.FirstTieBreaker{}}, 331},
-		{"dag", base, dagba.Rule{Pivot: dagba.Ghost}, 517},
-		{"dag-smallworld", gossip, dagba.Rule{Pivot: dagba.Ghost}, 1465},
+		{"chain", base, chainba.Rule{TB: chain.FirstTieBreaker{}}, 107},
+		{"dag", base, dagba.Rule{Pivot: dagba.Ghost}, 225},
+		{"dag-smallworld", gossip, dagba.Rule{Pivot: dagba.Ghost}, 190},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			trial := func() { agreement.MustRun(c.cfg, c.rule, &agreement.ValueFlip{Rule: c.rule}) }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/appendmem"
 	"repro/internal/chain"
 	"repro/internal/node"
+	"repro/internal/runner"
 	"repro/internal/xrand"
 )
 
@@ -35,10 +36,12 @@ import (
 //
 // A Rule without per-node handles (the zero value, or one shared rule)
 // rebuilds the chain index on every call: its nil chain.Cached handles are
-// stateless. The agreement harness instead drives each correct node
-// through NewNodeRule, whose per-node handles extend their indexes with
-// the node's monotonically growing view; behaviour is identical either
-// way.
+// stateless. The agreement harness instead drives a trial's correct nodes
+// through NewRunRule, one chain index of the trial's memory queried at
+// each view's size, or — on windowed runs and for the value-flipping
+// adversary — through NewNodeRule, whose per-node handles extend their
+// indexes with the node's monotonically growing view. Behaviour is
+// identical every way.
 type Rule struct {
 	TB      chain.TieBreaker
 	Confirm int
@@ -60,8 +63,13 @@ func (r Rule) NewNodeRule() agreement.HonestRule {
 // Append extends the tie-broken longest chain of the node's view with the
 // node's input value. On an empty view the block attaches to the genesis.
 func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, rng *xrand.PCG) {
+	r.append(r.app.At(view), view, w, input, rng)
+}
+
+// append is Append on t, an index holding at least view's prefix.
+func (r Rule) append(t *chain.Tree, view appendmem.View, w *appendmem.Writer, input int64, rng *xrand.PCG) {
 	tip := appendmem.None
-	if tips := r.app.At(view).LongestTips(); len(tips) > 0 {
+	if tips := t.TipsAt(view.Size()); len(tips) > 0 {
 		tip = r.TB.Pick(tips, view, rng)
 	}
 	w.MustAppend(input, 0, []appendmem.MsgID{tip})
@@ -70,12 +78,16 @@ func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, rng 
 // Decide fires once the view contains a longest chain of length at least k
 // and returns the sign of the sum of that chain's first k values.
 func (r Rule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
-	t := r.dec.At(view)
-	if t.Height() < k+r.Confirm {
+	return r.decide(r.dec.At(view), view, k, rng)
+}
+
+// decide is Decide on t, an index holding at least view's prefix.
+func (r Rule) decide(t *chain.Tree, view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
+	s := view.Size()
+	if t.HeightAt(s) < k+r.Confirm {
 		return 0, false
 	}
-	tips := t.LongestTips()
-	tip := r.TB.Pick(tips, view, rng)
+	tip := r.TB.Pick(t.TipsAt(s), view, rng)
 	return node.SumSign(t.PrefixValues(tip, k)), true
 }
 
@@ -95,3 +107,59 @@ func (r Rule) AppendFloor() int { return r.app.Floor() }
 
 // CompactAppendTo implements agreement.AppendWindowed.
 func (r Rule) CompactAppendTo(w int) int { return r.app.CompactTo(w) }
+
+// NewRunRule implements agreement.PerRunState: one rule for every correct
+// node of a trial, reading one pooled chain index of the trial's memory.
+func (r Rule) NewRunRule() agreement.RunRule {
+	rr := runRules.Get()
+	rr.rule = Rule{TB: r.TB, Confirm: r.Confirm}
+	return rr
+}
+
+// runRule is the trial-shared rule. Its index ingests every block of the
+// memory once, in arrival order; depth, parent and chain values never
+// change as the memory grows, and the index records how the height and
+// longest tips evolved, so a node's answer is the index queried at its
+// view's size. The tie-breaker still draws from the calling node's rng,
+// over the same tips in the same order as a per-node index would give.
+type runRule struct {
+	rule Rule
+	mem  *appendmem.Memory
+	tree chain.Tree
+}
+
+var runRules = runner.NewPool(func() *runRule { return &runRule{} })
+
+// Reset implements agreement.RunRule.
+func (r *runRule) Reset(mem *appendmem.Memory) {
+	r.mem = mem
+	r.tree.Reset(mem.ViewAt(0))
+}
+
+// Release implements agreement.RunRule. It drops every reference into
+// the trial's memory, so a pooled rule pins nothing.
+func (r *runRule) Release() {
+	r.tree.Reset(appendmem.View{})
+	r.rule, r.mem = Rule{}, nil
+	runRules.Put(r)
+}
+
+// at brings the index up to the whole memory; every view is a prefix.
+func (r *runRule) at() *chain.Tree {
+	r.tree.Extend(r.mem.Read())
+	return &r.tree
+}
+
+// Append implements agreement.HonestRule like Rule.Append.
+func (r *runRule) Append(view appendmem.View, w *appendmem.Writer, input int64, rng *xrand.PCG) {
+	r.rule.append(r.at(), view, w, input, rng)
+}
+
+// Decide implements agreement.HonestRule like Rule.Decide.
+func (r *runRule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
+	return r.rule.decide(r.at(), view, k, rng)
+}
+
+// Indexed returns the blocks the trial's index has ingested: the memory's
+// length once the index has caught up, each block counted once.
+func (r *runRule) Indexed() int { return r.tree.Indexed() }

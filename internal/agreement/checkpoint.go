@@ -79,6 +79,9 @@ func (r *run) capture(id appendmem.NodeID, pre xrand.State) {
 func (r *run) restore(cp *Checkpoint) {
 	r.sim.StartAt(cp.Now)
 	r.mem = cp.Mem.Clone()
+	if r.shared != nil {
+		r.shared.Reset(r.mem)
+	}
 	r.result.Grants = cp.Grants
 	r.rngAuthority = *xrand.Restore(cp.AuthorityRng)
 	r.rngAdversary = *xrand.Restore(cp.AdversaryRng)

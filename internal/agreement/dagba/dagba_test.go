@@ -1,6 +1,7 @@
 package dagba_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/appendmem"
 	"repro/internal/chain"
 	"repro/internal/dag"
+	"repro/internal/xrand"
 )
 
 func TestAppendReferencesAllTips(t *testing.T) {
@@ -238,5 +240,64 @@ func TestConfirmDepthDelaysDagDecision(t *testing.T) {
 	v, ok := r.Decide(m.Read(), 5, nil)
 	if !ok || v != +1 {
 		t.Fatalf("decide = (%d,%v); the -1 beyond position k must not count", v, ok)
+	}
+}
+
+// TestRunRuleMatchesNodeRule: the trial-shared rule must append and decide
+// exactly like a fresh per-node rule at every view size — first asked in
+// the stale, repeating order a trial's nodes ask in, while Byzantine
+// blocks with arbitrary parents land between the honest appends, then at
+// every size of the finished history in ascending order — for both pivot
+// rules, with and without a confirmation depth.
+func TestRunRuleMatchesNodeRule(t *testing.T) {
+	const k = 5
+	for _, pivot := range []dagba.PivotRule{dagba.Ghost, dagba.Longest} {
+		for _, confirm := range []int{0, 3} {
+			rule := dagba.Rule{Pivot: pivot, Confirm: confirm}
+			for seed := uint64(1); seed <= 4; seed++ {
+				rng := xrand.New(seed, 31)
+				m := appendmem.New(4)
+				shared := rule.NewRunRule()
+				shared.Reset(m)
+				decide := func(s int) {
+					v, ok := shared.Decide(m.ViewAt(s), k, nil)
+					wv, wok := rule.NewNodeRule().Decide(m.ViewAt(s), k, nil)
+					if v != wv || ok != wok {
+						t.Fatalf("%v confirm %d seed %d: Decide at size %d = %d,%v, per-node rule %d,%v",
+							pivot, confirm, seed, s, v, ok, wv, wok)
+					}
+				}
+				appendAt := func(s int, id appendmem.NodeID) {
+					c := m.Clone()
+					rule.NewNodeRule().Append(c.ViewAt(s), c.Writer(id), +1, nil)
+					shared.Append(m.ViewAt(s), m.Writer(id), +1, nil)
+					last := appendmem.MsgID(m.Len() - 1)
+					if got, want := m.Message(last).Parents, c.Message(last).Parents; !slices.Equal(got, want) {
+						t.Fatalf("%v confirm %d seed %d: Append at size %d referenced %v, per-node rule %v",
+							pivot, confirm, seed, s, got, want)
+					}
+				}
+				for step := 0; step < 120; step++ {
+					s := max(0, m.Len()-rng.Intn(8)) // a recent, possibly stale view
+					switch rng.Intn(3) {
+					case 0:
+						decide(s)
+					case 1:
+						appendAt(s, appendmem.NodeID(rng.Intn(3)))
+					default:
+						var parents []appendmem.MsgID
+						for j := rng.Intn(3); j > 0 && m.Len() > 0; j-- {
+							parents = append(parents, appendmem.MsgID(rng.Intn(m.Len())))
+						}
+						m.Writer(3).MustAppend(-1, 0, parents)
+					}
+				}
+				for s, end := 0, m.Len(); s <= end; s++ {
+					decide(s)
+					appendAt(s, appendmem.NodeID(s%3))
+				}
+				shared.Release()
+			}
+		}
 	}
 }

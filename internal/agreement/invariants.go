@@ -2,6 +2,7 @@ package agreement
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/appendmem"
 	"repro/internal/node"
@@ -55,10 +56,14 @@ func (vs Violations) Has(invariant string) bool {
 // decided-prefix and validity-bound checks (nil disables them — e.g. the
 // timestamp protocol has no structural order to re-derive).
 type Invariants struct {
-	// Order linearizes a view into the protocol's canonical message
-	// order (longest chain walk, pivot linearization, ...). It must be
-	// deterministic: post-hoc analysis has no protocol RNG.
-	Order func(v appendmem.View) []appendmem.MsgID
+	// Order linearizes prefixes of one memory into the protocol's
+	// canonical message order (longest chain walk, pivot linearization,
+	// ...): one order per size in sizes, which are ascending and distinct,
+	// so an implementation can build one index and grow or query it
+	// through them. It must be deterministic — post-hoc analysis has no
+	// protocol RNG — and must build its own indexes: it is the oracle the
+	// harness's are checked against.
+	Order func(mem *appendmem.Memory, sizes []int) [][]appendmem.MsgID
 	// K is the decision threshold: the checks compare the first K ordered
 	// messages of each node's decision view (0 means the whole order).
 	K int
@@ -101,8 +106,17 @@ func (iv Invariants) CheckRun(roster node.Roster, o *node.Outcome, mem *appendme
 	}
 
 	// Reconstruct each decided node's k-prefix from its exact decision
-	// view (Memory.ViewAt is a prefix view; the sizes were recorded at
-	// decision time).
+	// view (the memory's prefix of the size recorded at decision time),
+	// ordering each distinct size once.
+	var sizes []int
+	for _, id := range correct {
+		if o.Decided[id] {
+			sizes = append(sizes, decideViewSize[id])
+		}
+	}
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	orders := iv.Order(mem, sizes)
 	type prefix struct {
 		node appendmem.NodeID
 		vals []int64
@@ -113,14 +127,14 @@ func (iv Invariants) CheckRun(roster node.Roster, o *node.Outcome, mem *appendme
 		if !o.Decided[id] {
 			continue
 		}
-		view := mem.ViewAt(decideViewSize[id])
-		order := iv.Order(view)
+		i, _ := slices.BinarySearch(sizes, decideViewSize[id])
+		order := orders[i]
 		if iv.K > 0 && len(order) > iv.K {
 			order = order[:iv.K]
 		}
 		p := prefix{node: id, vals: make([]int64, len(order))}
 		for j, mid := range order {
-			m := view.Message(mid)
+			m := mem.Message(mid)
 			p.vals[j] = m.Value
 			if roster.IsByzantine(m.Author) {
 				p.byz++

@@ -51,8 +51,12 @@ func TestInvariantsCatchUnsafeRule(t *testing.T) {
 
 // chainOrder is the longest-chain canonical order with the first-tip
 // analysis tie-break, as the scenario layer binds it.
-func chainOrder(v appendmem.View) []appendmem.MsgID {
-	return chain.Build(v).SelectedChain(chain.FirstTieBreaker{})
+func chainOrder(mem *appendmem.Memory, sizes []int) [][]appendmem.MsgID {
+	orders := make([][]appendmem.MsgID, len(sizes))
+	for i, s := range sizes {
+		orders[i] = chain.Build(mem.ViewAt(s)).SelectedChain(chain.FirstTieBreaker{})
+	}
+	return orders
 }
 
 func TestDecidedPrefixViolation(t *testing.T) {

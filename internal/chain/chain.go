@@ -19,17 +19,25 @@
 // A Tree is a dense-slice index over a View's MsgID space (IDs are the
 // contiguous 0..Size-1 arrival prefix of one append-only Memory, parents
 // always precede children). It keeps one record per block — depth, chain
-// parent, value and a traversal mark — and nothing else: every query walks
-// parent edges towards the genesis, so the index needs no child lists. Build
-// constructs it from scratch in O(view); Extend ingests only the suffix
-// appended since the previous view, keeping depth, height and the
-// longest-tip set incrementally correct in O(1) per block — a consumer
-// that re-reads a growing memory every step (see Cached) pays amortized
-// O(1) per block instead of O(view) per step.
+// parent, value, the tree height once the block arrived, a link to the
+// previous block at the same depth and a traversal mark — and nothing
+// else: every query walks parent edges towards the genesis, so the index
+// needs no child lists. Build constructs it from scratch in O(view);
+// Extend ingests only the suffix appended since the previous view, in
+// O(1) per block — a consumer that re-reads a growing memory every step
+// (see Cached) pays amortized O(1) per block instead of O(view) per step.
+//
+// Depth, parent and chain values never change as the view grows, and the
+// per-block height and same-depth links record how the longest-tip set
+// evolved, so one Tree of a memory answers for every prefix of it:
+// HeightAt and TipsAt take the prefix size. Nodes whose views are
+// prefixes of one memory can therefore share one index, each querying it
+// at its own view's size.
 package chain
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/appendmem"
 	"repro/internal/xrand"
@@ -55,9 +63,12 @@ type Tree struct {
 	off    int     // first live id; blocks index id-off
 	blocks []block // by id-off
 	height int
-	// levelTips is the arrival-ordered set of blocks at depth == height,
-	// maintained on Extend so LongestTips is O(tips) instead of O(view).
-	levelTips []appendmem.MsgID
+	// lastAt[d-1-len(frozenVals)] is the newest id at depth d. With each
+	// block's prev link it threads the arrival-ordered ids of every live
+	// depth, so TipsAt reads the blocks at one depth below a prefix size
+	// without per-depth storage.
+	lastAt []int32
+	tipBuf []appendmem.MsgID // TipsAt's result, reused by the next call
 
 	// Frozen-prefix state: the values of the chain genesis..anchor (oldest
 	// first; the anchor's depth equals len(frozenVals)) and the count of
@@ -67,16 +78,18 @@ type Tree struct {
 
 	// markEpoch stamps the blocks a Forks or Compact pass visits: a block
 	// is marked in the current pass iff its mark equals markEpoch.
-	markEpoch uint64
+	markEpoch uint32
 }
 
 // block is the index's record of one id; a dangling block keeps the record
-// extend appends, with depth 0.
+// extend appends, with depth 0. The record stays 32 bytes.
 type block struct {
 	depth  int32           // genesis children = 1; 0 = dangling
+	hAt    int32           // the tree height once this id is ingested
 	parent appendmem.MsgID // chain parent, None for genesis children
 	value  int64
-	mark   uint64 // equals Tree.markEpoch once the current pass visits it
+	prev   int32  // the previous id at the same depth; -1 or below off ends the list
+	mark   uint32 // equals Tree.markEpoch once the current pass visits it
 }
 
 // Parent returns the chain parent of msg: Parents[0], or None when the
@@ -90,9 +103,19 @@ func Parent(msg *appendmem.Message) appendmem.MsgID {
 
 // Build indexes the chain structure of view from scratch.
 func Build(view appendmem.View) *Tree {
-	t := &Tree{view: view, blocks: make([]block, 0, view.Size())}
-	t.extend(view.Size())
+	// Room for 64 depth lists up front; past that they grow by doubling.
+	t := &Tree{blocks: make([]block, 0, view.Size()), lastAt: make([]int32, 0, 64)}
+	t.Reset(view)
 	return t
+}
+
+// Reset re-points t at view, which may belong to another memory, and
+// indexes it from scratch, keeping the storage of earlier builds: a pooled
+// index reused across trials allocates nothing once warm.
+func (t *Tree) Reset(view appendmem.View) {
+	*t = Tree{view: view, blocks: t.blocks[:0], lastAt: t.lastAt[:0], tipBuf: t.tipBuf[:0],
+		frozenVals: t.frozenVals[:0]}
+	t.extend(view.Size())
 }
 
 // Extend ingests the blocks appended between the Tree's current view and
@@ -111,36 +134,66 @@ func (t *Tree) Extend(view appendmem.View) {
 // and parents always precede children, so one increasing-ID pass computes
 // all depths.
 func (t *Tree) extend(size int) {
+	base := int32(len(t.frozenVals)) + 1 // the depth lastAt[0] lists
+	height := int32(t.height)
 	for id := appendmem.MsgID(t.built); int(id) < size; id++ {
 		msg := t.view.Message(id)
 		p := Parent(msg)
-		t.blocks = append(t.blocks, block{parent: p, value: msg.Value})
-		b := &t.blocks[len(t.blocks)-1]
-		switch {
-		case p == appendmem.None:
-			b.depth = 1
-		case int(p) < t.off-1:
-			continue // dangling: parent frozen away (malformed reference)
-		case t.off > 0 && int(p) == t.off-1:
-			b.depth = int32(len(t.frozenVals)) + 1 // extends the anchor directly
-		default:
-			// Parents precede children, so p is already indexed.
-			pd := t.blocks[int(p)-t.off].depth
-			if pd == 0 {
-				continue // dangling: parent invisible or itself dangling
+		depth := t.childDepth(p)
+		prev := int32(-1)
+		if depth != 0 {
+			t.size++
+			height = max(height, depth)
+			// A fresh root after a Compact can sit at or below the anchor's
+			// depth: it is never a longest tip, so it joins no list. A
+			// block is at most one deeper than the height, so at most one
+			// list is new.
+			if lvl := depth - base; lvl >= 0 {
+				if int(lvl) == len(t.lastAt) {
+					t.lastAt = append(t.lastAt, -1)
+				}
+				prev, t.lastAt[lvl] = t.lastAt[lvl], int32(id)
 			}
-			b.depth = pd + 1
 		}
-		t.size++
-		if int(b.depth) > t.height {
-			t.height = int(b.depth)
-			t.levelTips = t.levelTips[:0]
-		}
-		if int(b.depth) == t.height {
-			t.levelTips = append(t.levelTips, id)
-		}
+		// Fill the record in place: a literal would be assembled on the
+		// stack from 4-byte fields and copied out in 16-byte moves, which
+		// stalls store-to-load forwarding on every block.
+		t.blocks = append(t.blocks, block{})
+		b := &t.blocks[len(t.blocks)-1]
+		b.depth, b.hAt, b.parent, b.value, b.prev = depth, height, p, msg.Value, prev
 	}
-	t.built = size
+	t.height, t.built = int(height), size
+}
+
+// childDepth returns the depth of a block whose chain parent is p, or 0
+// when it dangles. Parents precede children, so p is already indexed.
+func (t *Tree) childDepth(p appendmem.MsgID) int32 {
+	switch {
+	case p == appendmem.None:
+		return 1
+	case int(p) < t.off-1:
+		return 0 // dangling: parent frozen away (malformed reference)
+	case t.off > 0 && int(p) == t.off-1:
+		return int32(len(t.frozenVals)) + 1 // extends the anchor directly
+	}
+	if pd := t.blocks[int(p)-t.off].depth; pd != 0 {
+		return pd + 1
+	}
+	return 0 // dangling: parent itself dangling
+}
+
+// nextMark starts a marking pass and returns its stamp. On the wrap of
+// the 32-bit epoch it clears every stamp first, so a stale mark can never
+// pass for a current one.
+func (t *Tree) nextMark() uint32 {
+	t.markEpoch++
+	if t.markEpoch == 0 {
+		for i := range t.blocks {
+			t.blocks[i].mark = 0
+		}
+		t.markEpoch = 1
+	}
+	return t.markEpoch
 }
 
 // Compact retires the index prefix below reqW that the decision rules can
@@ -164,21 +217,19 @@ func (t *Tree) Compact(reqW int) int {
 	if reqW > t.built {
 		reqW = t.built
 	}
-	if reqW <= t.off || t.height == 0 || len(t.levelTips) == 0 {
+	first := t.TipFloor()
+	if reqW <= t.off || first < 0 {
 		return t.off
 	}
 	// The anchor must sit strictly below every longest tip.
-	limit := reqW
-	if int(t.levelTips[0]) < limit {
-		limit = int(t.levelTips[0])
-	}
+	limit := min(reqW, int(first))
 	if limit <= t.off {
 		return t.off
 	}
 	// Candidate: the deepest ancestor of the first longest tip below limit.
 	// Any other longest tip's chain meets this chain at or below the
 	// candidate (checked by the descendant pass below).
-	cand := t.levelTips[0]
+	cand := first
 	for int(cand) >= limit {
 		cand = t.blocks[int(cand)-t.off].parent
 		if cand == appendmem.None || int(cand) < t.off {
@@ -187,8 +238,7 @@ func (t *Tree) Compact(reqW int) int {
 	}
 	// Every live non-dangling block above the candidate must descend from
 	// it; one ascending-id pass inherits the mark from the parent.
-	t.markEpoch++
-	e := t.markEpoch
+	e := t.nextMark()
 	t.blocks[int(cand)-t.off].mark = e
 	for idx := int(cand) + 1 - t.off; idx < len(t.blocks); idx++ {
 		b := &t.blocks[idx]
@@ -222,8 +272,11 @@ func (t *Tree) Compact(reqW int) int {
 	}
 	t.frozenWasted += frozen - chainLen
 	// Shift the live records down in place so the backing array stays
-	// bounded by the live window.
+	// bounded by the live window, and rebase the depth lists on the new
+	// anchor: every live block descends from it, so the lists of depths at
+	// or above the anchor's hold only frozen ids.
 	t.blocks = append(t.blocks[:0], t.blocks[w-t.off:]...)
+	t.lastAt = t.lastAt[:copy(t.lastAt, t.lastAt[chainLen:])]
 	t.off = w
 	return w
 }
@@ -231,16 +284,86 @@ func (t *Tree) Compact(reqW int) int {
 // Height returns the length of the longest chain (0 for an empty view).
 func (t *Tree) Height() int { return t.height }
 
+// HeightAt returns the length of the longest chain in the view prefix of
+// size s, at most the indexed size. After a Compact s must lie above the
+// watermark.
+func (t *Tree) HeightAt(s int) int {
+	if s > t.built {
+		panic(fmt.Sprintf("chain: HeightAt(%d) past the %d indexed blocks", s, t.built))
+	}
+	if s == 0 && t.off == 0 {
+		return 0
+	}
+	if s <= t.off {
+		panic(fmt.Sprintf("chain: HeightAt(%d) at or below watermark %d", s, t.off))
+	}
+	return int(t.blocks[s-1-t.off].hAt)
+}
+
+// TipsAt returns the tips of all longest chains of the view prefix of size
+// s — every block of that prefix at depth HeightAt(s) — in arrival order;
+// empty for an empty prefix. It walks the same-depth links from the
+// newest block at that depth, so the call costs O(blocks at that depth)
+// and allocates nothing once warm.
+//
+// The slice is index-owned: callers must not mutate it, and the next
+// TipsAt or LongestTips call on the Tree overwrites it. After a Compact
+// only s == the indexed size is exact (frozen blocks are no longer
+// listed); prefix queries need an uncompacted Tree.
+func (t *Tree) TipsAt(s int) []appendmem.MsgID {
+	h := t.HeightAt(s)
+	if h == 0 {
+		return nil
+	}
+	lvl := h - 1 - len(t.frozenVals)
+	if lvl < 0 {
+		panic(fmt.Sprintf("chain: TipsAt(%d) below the compaction anchor", s))
+	}
+	id := t.lastAt[lvl]
+	for int(id) >= s {
+		id = t.blocks[int(id)-t.off].prev
+	}
+	buf := t.tipBuf[:0]
+	for ; int(id) >= t.off; id = t.blocks[int(id)-t.off].prev {
+		buf = append(buf, appendmem.MsgID(id))
+	}
+	slices.Reverse(buf)
+	t.tipBuf = buf
+	return buf[:len(buf):len(buf)]
+}
+
 // TipFloor returns the smallest id among the longest tips, or -1 for an
-// empty tree. levelTips is kept in arrival (ascending-id) order, so this
-// is O(1) and allocation-free — it is the reachability floor windowed
-// retirement takes the minimum over.
+// empty tree: the first block to reach the current height. It walks the
+// top depth's links and leaves TipsAt's buffer alone — it is the
+// reachability floor windowed retirement takes the minimum over.
 func (t *Tree) TipFloor() appendmem.MsgID {
-	if len(t.levelTips) == 0 {
+	id := t.topTip()
+	if id < 0 {
 		return -1
 	}
-	return t.levelTips[0]
+	for {
+		prev := t.blocks[int(id)-t.off].prev
+		if int(prev) < t.off {
+			return appendmem.MsgID(id)
+		}
+		id = prev
+	}
 }
+
+// topTip returns the newest longest tip, the head of the top depth's
+// links, or -1 for an empty tree.
+func (t *Tree) topTip() int32 {
+	if t.height == 0 {
+		return -1
+	}
+	return t.lastAt[t.height-1-len(t.frozenVals)]
+}
+
+// Indexed returns the number of view-prefix blocks the Tree has ingested
+// since Build or Reset: its deterministic work count. Each block is
+// ingested once, so an index extended over a whole memory reports the
+// memory's length.
+func (t *Tree) Indexed() int { return t.built }
 
 // depthOf returns the block's depth, 0 when absent or dangling. It panics
 // for blocks frozen below the compaction watermark.
@@ -263,14 +386,10 @@ func (t *Tree) Depth(id appendmem.MsgID) (int, bool) {
 }
 
 // LongestTips returns the tips of all longest chains — every block at
-// maximal depth — in arrival order. Empty when the view is empty. The set
-// is maintained incrementally, so the call costs O(tips).
-func (t *Tree) LongestTips() []appendmem.MsgID {
-	if t.height == 0 {
-		return nil
-	}
-	return append([]appendmem.MsgID(nil), t.levelTips...)
-}
+// maximal depth — in arrival order: TipsAt of the indexed size, with its
+// contract (index-owned, overwritten by the next call). Empty when the
+// view is empty.
+func (t *Tree) LongestTips() []appendmem.MsgID { return t.TipsAt(t.built) }
 
 // ChainTo returns the chain down to tip, inclusive, oldest first: from the
 // genesis child, or — after a Compact — from the first live block above
@@ -309,10 +428,11 @@ func (t *Tree) SelectedChain(tb TieBreaker) []appendmem.MsgID {
 // keep contributing through the frozen-wasted tally: the anchor is on
 // every longest chain, so their on/off-chain status is final.
 func (t *Tree) Forks() int {
-	t.markEpoch++
-	e := t.markEpoch
-	for _, tip := range t.levelTips {
-		for cur := tip; int(cur) >= t.off; {
+	e := t.nextMark()
+	// Mark back from every longest tip, walking the top depth's links so
+	// TipsAt's buffer stays the caller's.
+	for tip := t.topTip(); int(tip) >= t.off; tip = t.blocks[int(tip)-t.off].prev {
+		for cur := appendmem.MsgID(tip); int(cur) >= t.off; {
 			b := &t.blocks[int(cur)-t.off]
 			if b.mark == e {
 				break
@@ -336,7 +456,9 @@ func (t *Tree) Forks() int {
 type TieBreaker interface {
 	// Pick chooses among tips; view gives access to the blocks' contents
 	// and rng supplies the calling node's private randomness (ignored by
-	// deterministic rules).
+	// deterministic rules). tips is usually index-owned (TipsAt,
+	// LongestTips), and one index serves every node of a run:
+	// implementations must not mutate it.
 	Pick(tips []appendmem.MsgID, view appendmem.View, rng *xrand.PCG) appendmem.MsgID
 }
 

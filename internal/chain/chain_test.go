@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,34 @@ func TestTieBreakers(t *testing.T) {
 	}
 	if counts[correctTip.ID] < 400 || counts[byzTip.ID] < 400 {
 		t.Errorf("RandomTieBreaker not uniform: %v", counts)
+	}
+}
+
+// TestTieBreakersLeaveTipsUnchanged: Pick is handed the index-owned tips
+// slice that one index serves to every node of a run, so no tie-breaker
+// may reorder or overwrite it.
+func TestTieBreakersLeaveTipsUnchanged(t *testing.T) {
+	m := appendmem.New(3)
+	root := m.Writer(0).MustAppend(0, 0, nil)
+	for i := 0; i < 6; i++ {
+		m.Writer(appendmem.NodeID(i%3)).MustAppend(int64(i), 0, []appendmem.MsgID{root.ID})
+	}
+	view := m.Read()
+	tr := Build(view)
+	tips := tr.LongestTips()
+	want := slices.Clone(tips)
+	rng := xrand.New(2, 2)
+	for _, tb := range []TieBreaker{
+		FirstTieBreaker{},
+		RandomTieBreaker{},
+		AdversarialTieBreaker{IsByzantine: func(id appendmem.NodeID) bool { return id == 2 }},
+	} {
+		for i := 0; i < 100; i++ {
+			tb.Pick(tips, view, rng)
+		}
+		if !slices.Equal(tips, want) || !slices.Equal(tr.LongestTips(), want) {
+			t.Fatalf("%T mutated the tips: %v, want %v", tb, tips, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/appendmem"
@@ -133,5 +134,55 @@ func TestExtendRejectsForeignView(t *testing.T) {
 			}()
 			tr.Extend(bad)
 		}()
+	}
+}
+
+// TestDifferentialPrefixQueries: one Tree of a memory answers for every
+// prefix of it, the contract the harness's shared index rests on. The
+// histories mix honest appends with withholding chains and forks off
+// arbitrary old blocks (the Byzantine references); in a prefix of one
+// memory a parent always precedes its child, so no block dangles. The
+// Tree grows one block at a time, as a run's index does, and after every
+// step HeightAt, TipsAt, Depth and PrefixValues at every prefix size up
+// to it must equal those of a from-scratch Build of that prefix.
+func TestDifferentialPrefixQueries(t *testing.T) {
+	histories := []func(*xrand.PCG, int) *appendmem.Memory{chainHistory, recentChainHistory}
+	for h, history := range histories {
+		for seed := uint64(1); seed <= 4; seed++ {
+			m := history(xrand.New(seed, 97), 70)
+			refs := make([]*Tree, m.Len()+1)
+			for s := range refs {
+				refs[s] = Build(m.ViewAt(s))
+			}
+			inc := Build(m.ViewAt(0))
+			for built := 0; built <= m.Len(); built++ {
+				inc.Extend(m.ViewAt(built))
+				for s := 0; s <= built; s++ {
+					assertSamePrefix(t, h, seed, s, inc, refs[s])
+				}
+			}
+		}
+	}
+}
+
+func assertSamePrefix(t *testing.T, h int, seed uint64, s int, inc, ref *Tree) {
+	t.Helper()
+	if got, want := inc.HeightAt(s), ref.Height(); got != want {
+		t.Fatalf("history %d seed %d: HeightAt(%d) = %d, Build gives %d", h, seed, s, got, want)
+	}
+	if got, want := inc.TipsAt(s), ref.LongestTips(); !equalIDs(got, want) {
+		t.Fatalf("history %d seed %d: TipsAt(%d) = %v, Build gives %v", h, seed, s, got, want)
+	}
+	for id := appendmem.MsgID(0); int(id) < s; id++ {
+		di, oki := inc.Depth(id)
+		dr, okr := ref.Depth(id)
+		if di != dr || oki != okr {
+			t.Fatalf("history %d seed %d prefix %d: Depth(%d) = %d,%v, Build gives %d,%v", h, seed, s, id, di, oki, dr, okr)
+		}
+		for _, k := range []int{1, 3, di, di + 5} {
+			if got, want := inc.PrefixValues(id, k), ref.PrefixValues(id, k); !slices.Equal(got, want) {
+				t.Fatalf("history %d seed %d prefix %d: PrefixValues(%d, %d) = %v, Build gives %v", h, seed, s, id, k, got, want)
+			}
+		}
 	}
 }

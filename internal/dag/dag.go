@@ -139,14 +139,27 @@ func SelectedParent(msg *appendmem.Message) appendmem.MsgID {
 
 // Build indexes the DAG of view from scratch.
 func Build(view appendmem.View) *Dag {
-	d := &Dag{
+	d := &Dag{blocks: make([]block, 0, view.Size())}
+	d.Reset(view)
+	return d
+}
+
+// Reset re-points d at view, which may belong to another memory, and
+// indexes it from scratch, keeping the storage of earlier builds: a pooled
+// index reused across prefixes or trials allocates nothing once warm.
+func (d *Dag) Reset(view appendmem.View) {
+	*d = Dag{
 		view:        view,
-		blocks:      make([]block, 0, view.Size()),
+		blocks:      d.blocks[:0],
 		rootBest:    appendmem.None,
 		bestTreeTip: appendmem.None,
+		tips:        d.tips[:0],
+		frozenVals:  d.frozenVals[:0],
+		dfsStack:    d.dfsStack[:0],
+		epochBuf:    d.epochBuf[:0],
+		orderBuf:    d.orderBuf[:0],
 	}
 	d.extend(view.Size())
-	return d
 }
 
 // Extend ingests the blocks appended between the Dag's current view and
@@ -425,6 +438,11 @@ func (d *Dag) bumpGhostBest(p, kid appendmem.MsgID) {
 // since Build: O(blocks + batches × tree depth), never O(blocks × depth).
 // It is deterministic, so tests can bound the weight work of a stream.
 func (d *Dag) WeightSteps() int { return d.weightSteps }
+
+// Indexed returns the number of view-prefix blocks the Dag has ingested
+// since Build or Reset: the size of the view it answers for, and its
+// deterministic ingest count.
+func (d *Dag) Indexed() int { return d.built }
 
 // Size returns the number of non-dangling blocks.
 func (d *Dag) Size() int { return d.size }

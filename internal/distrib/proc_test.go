@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -32,6 +33,24 @@ func TestProcessWorkersMatchLocal(t *testing.T) {
 	}
 }
 
+// killOnLease is a worker process that is killed the moment the
+// coordinator has handed it its first lease, so the loss lands mid-sweep
+// with work in flight however fast the trials run (a fixed sleep before
+// the kill let a fast sweep finish first).
+type killOnLease struct {
+	*Proc
+	once sync.Once
+}
+
+// Send implements Transport.
+func (k *killOnLease) Send(m *Msg) error {
+	err := k.Proc.Send(m)
+	if m.Type == msgLease {
+		k.once.Do(func() { k.Proc.Kill() })
+	}
+	return err
+}
+
 // Kill one worker mid-sweep: the run must finish with byte-identical
 // output — a lost worker changes wall clock, never results.
 func TestKilledWorkerDoesNotChangeOutput(t *testing.T) {
@@ -45,26 +64,20 @@ func TestKilledWorkerDoesNotChangeOutput(t *testing.T) {
 	local := mustRunLocal(t, spec)
 
 	procs := spawnProcWorkers(t, 3)
-	victim := procs[0]
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(30 * time.Millisecond)
-		victim.Kill()
-	}()
+	workers := transports(procs)
+	workers[0] = &killOnLease{Proc: procs[0]}
 
 	dist, stats, err := Run(spec, Config{
-		Workers:      transports(procs),
+		Workers:      workers,
 		ChunkSize:    4,
 		LeaseTimeout: 5 * time.Second,
 	})
-	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, spec, local, dist)
-	// The victim may in rare schedules die between leases with nothing in
-	// flight (lost but no retry), but it must at least be noticed.
+	// The victim may in rare schedules answer its lease before the kill
+	// lands and die between leases, but it must at least be noticed.
 	if stats.LostWorker == 0 {
 		t.Fatalf("killed worker was never declared lost: %+v", stats)
 	}

@@ -20,25 +20,43 @@ import (
 // the paper's resilience arguments need a correct majority.
 const DefaultMaxByzFraction = 0.5
 
-// OrderFunc returns the protocol's canonical linearization over an
-// arbitrary view — the longest-chain walk under the analysis tie-break,
-// or the pivot linearization. Chain/dag randomized protocols only.
-func (b *Bound) OrderFunc() (func(appendmem.View) []appendmem.MsgID, error) {
+// OrderFunc returns the protocol's canonical linearization of a memory's
+// prefixes (see agreement.Invariants.Order) — the longest-chain walk
+// under the analysis tie-break, or the pivot linearization. The chain
+// builds one index of the largest prefix and queries it at every size;
+// the DAG grows one index through the ascending sizes and linearizes at
+// each. Chain/dag randomized protocols only.
+func (b *Bound) OrderFunc() (func(*appendmem.Memory, []int) [][]appendmem.MsgID, error) {
 	switch b.spec.Protocol {
 	case Chain:
 		tb := analysisTieBreak(&b.spec)
-		return func(v appendmem.View) []appendmem.MsgID {
-			return chain.Build(v).SelectedChain(tb)
+		return func(mem *appendmem.Memory, sizes []int) [][]appendmem.MsgID {
+			orders := make([][]appendmem.MsgID, len(sizes))
+			if len(sizes) == 0 {
+				return orders
+			}
+			t := chain.Build(mem.ViewAt(sizes[len(sizes)-1]))
+			for i, s := range sizes {
+				if tips := t.TipsAt(s); len(tips) > 0 {
+					orders[i] = t.ChainTo(tb.Pick(tips, mem.ViewAt(s), nil))
+				}
+			}
+			return orders
 		}, nil
 	case Dag:
 		longest := b.spec.Pivot == PivotLongest
-		return func(v appendmem.View) []appendmem.MsgID {
-			d := dag.Build(v)
-			anchor := d.GhostPivot()
-			if longest {
-				anchor = d.LongestPivot()
+		return func(mem *appendmem.Memory, sizes []int) [][]appendmem.MsgID {
+			orders := make([][]appendmem.MsgID, len(sizes))
+			d := dag.Build(mem.ViewAt(0))
+			for i, s := range sizes {
+				d.Extend(mem.ViewAt(s))
+				anchor := d.GhostPivot()
+				if longest {
+					anchor = d.LongestPivot()
+				}
+				orders[i] = d.Linearize(anchor)
 			}
-			return d.Linearize(anchor)
+			return orders
 		}, nil
 	default:
 		return nil, fmt.Errorf("scenario: canonical order applies to chain/dag only, not %q", b.spec.Protocol)
