@@ -39,8 +39,8 @@ cover:
 # compare.
 BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 3
-BENCH ?= BENCH_PR21.json
-BENCH_BASE ?= BENCH_PR20.json
+BENCH ?= BENCH_PR22.json
+BENCH_BASE ?= BENCH_PR21.json
 BENCH_THRESHOLD ?= 0.35
 DISPATCH_BENCH = ^Benchmark(TrialsDispatch|TrialsReduceDispatch)$$
 DISPATCH_CPU = 2

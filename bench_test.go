@@ -418,6 +418,19 @@ func BenchmarkProtocolRunDag(b *testing.B) {
 	}
 }
 
+// BenchmarkProtocolRunChainWindowed is a smaller long-horizon trial: the
+// chain under value flips behind a window that retires most of the
+// memory, so every Δ the correct nodes' one shared index compacts beside
+// the adversary's own.
+func BenchmarkProtocolRunChainWindowed(b *testing.B) {
+	rule := chainba.Rule{TB: chain.RandomTieBreaker{}}
+	for i := 0; i < b.N; i++ {
+		agreement.MustRun(agreement.RandomizedConfig{
+			N: 10, T: 3, Lambda: 1, K: 101, Window: 120, Seed: uint64(i),
+		}, rule, &agreement.ValueFlip{Rule: rule})
+	}
+}
+
 func BenchmarkProtocolRunSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		syncba.MustRun(syncba.Config{N: 9, T: 4, Seed: uint64(i)}, &syncba.LoudFlip{})

@@ -26,12 +26,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/profile"
 	"repro/internal/report"
 )
 
@@ -56,9 +55,8 @@ func run() int {
 		check   = flag.Bool("check", false, "evaluate each experiment's predictions; exit 2 if any fail")
 		timing  = flag.Bool("timing", false, "report per-experiment and total wall clock on stderr")
 		outPath = flag.String("o", "", "write output to this file instead of stdout")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -68,33 +66,16 @@ func run() int {
 		return 0
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
+		return 1
 	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
+	defer func() {
+		if err := stop(); err != nil {
 			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
-			return 1
 		}
-		defer func() {
-			runtime.GC() // materialize up-to-date allocation stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
-			}
-			f.Close()
-		}()
-	}
+	}()
 
 	switch *format {
 	case "text", "md", "json", "csv":

@@ -32,6 +32,7 @@ import (
 	"repro/internal/appendmem"
 	"repro/internal/distrib"
 	"repro/internal/experiments"
+	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/topology"
@@ -76,6 +77,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS)")
 	)
 	flag.Var(&sweeps, "sweep", "sweep axis as axis=v1,v2,... (repeatable; see -list for axes)")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
 	if served, err := fleet.ServeIfWorker(); served {
@@ -90,6 +92,17 @@ func main() {
 		printList()
 		return
 	}
+
+	stop, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	stopProfile := func() {
+		if err := stop(); err != nil {
+			fatal(err)
+		}
+	}
+	defer stopProfile()
 
 	base := defaults
 	if *specPath != "" {
@@ -129,7 +142,10 @@ func main() {
 		return
 	}
 
-	runOne(spec, *verbose, *traceN)
+	if !runOne(spec, *verbose, *traceN) {
+		stopProfile()
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {
@@ -226,8 +242,9 @@ func renderSweep(res *scenario.SweepResult, format, out string) {
 	}
 }
 
-// runOne preserves amrun's classic single-run report.
-func runOne(spec scenario.Spec, verbose bool, traceN int) {
+// runOne preserves amrun's classic single-run report and reports whether
+// the run met every consensus property.
+func runOne(spec scenario.Spec, verbose bool, traceN int) bool {
 	var rec *trace.Recorder
 	if traceN > 0 {
 		rec = trace.New()
@@ -259,9 +276,7 @@ func runOne(spec scenario.Spec, verbose bool, traceN int) {
 	if rec != nil {
 		fmt.Printf("trace (%d events total):\n%s", rec.Len(), rec.Render(traceN))
 	}
-	if !r.Verdict.OK() {
-		os.Exit(2)
-	}
+	return r.Verdict.OK()
 }
 
 // printList enumerates the registries, one line per name with its doc.

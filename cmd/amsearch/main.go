@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/distrib"
+	"repro/internal/profile"
 	"repro/internal/scenario"
 	"repro/internal/search"
 )
@@ -50,6 +51,7 @@ type command struct {
 	fs    *flag.FlagSet
 	spec  *scenario.Flags
 	fleet *distrib.Fleet
+	prof  *profile.Flags
 
 	specPath, objective, rungs  string
 	budget, eta, workers        int
@@ -73,6 +75,7 @@ func newCommand() *command {
 	c.fs.StringVar(&c.promote, "promote", "", "minimize the winner to a single-seed counterexample spec and write it here (a directory or a .json path)")
 	c.fs.StringVar(&c.replayPath, "replay", "", "replay a committed counterexample spec; exit 1 unless some trial disagrees or violates an invariant")
 	c.fs.BoolVar(&c.list, "list", false, "enumerate searchable attacks (with parameter schemas) and objectives, then exit")
+	c.prof = profile.Register(c.fs)
 	return c
 }
 
@@ -157,6 +160,15 @@ func main() {
 		printList()
 		return
 	}
+	stop, err := c.prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fatal(err)
+		}
+	}()
 	if c.replayPath != "" {
 		replay(c.replayPath)
 		return

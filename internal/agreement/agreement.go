@@ -129,12 +129,13 @@ type RandomizedConfig struct {
 	Trace *trace.Recorder
 
 	// Window > 0 runs the memory in windowed (bounded-live) mode: every Δ
-	// the harness computes the reachability watermark — the minimum
-	// ViewFloor over all still-appending parties, keeping at least Window
-	// messages live — compacts every party's index to it, and retires the
-	// memory chunks below it back to the slab pool. Decisions are
-	// unchanged; reads below the watermark panic. Requires the rule and
-	// the adversary to implement WindowedRule/WindowedAdversary, and is
+	// the harness computes the reachability watermark — the minimum floor
+	// over all still-appending parties, keeping at least Window messages
+	// live — compacts the correct nodes' shared index (WindowedRunState)
+	// or each node's own (WindowedRule), and the adversary's, to it, and
+	// retires the memory chunks below it back to the slab pool. Decisions
+	// are unchanged; reads below the watermark panic. Requires the rule to
+	// implement WindowedRule and the adversary WindowedAdversary, and is
 	// incompatible with Topology, AsyncDelayMax, StallAtSize and
 	// checkpointing. 0 keeps the unbounded memory, byte for byte.
 	Window int
@@ -236,8 +237,9 @@ type HonestRule interface {
 // returned instance; a rule with neither is shared, stateless, across all
 // nodes. The returned rule must decide and append exactly like the
 // original: per-node state is a performance vehicle, never a behavioural
-// one. Windowed runs, the ValueFlip adversary and wrappers that expose
-// only this hook keep the per-node path.
+// one. Windowed runs of rules without WindowedRunState, the ValueFlip
+// adversary and wrappers that expose only this hook keep the per-node
+// path.
 type PerNodeState interface {
 	NewNodeRule() HonestRule
 }
@@ -248,10 +250,34 @@ type PerNodeState interface {
 // each node at its own view's size. On the unbounded path (Window == 0)
 // RunRandomized calls NewRunRule once per trial and drives every correct
 // node through the returned rule instead of asking PerNodeState for one
-// instance per node. Like PerNodeState it is a performance vehicle: the
+// instance per node; windowed runs share one only through
+// WindowedRunState. Like PerNodeState it is a performance vehicle: the
 // run rule must append and decide exactly like per-node instances.
 type PerRunState interface {
 	NewRunRule() RunRule
+}
+
+// WindowedRunState is optionally implemented by PerRunState rules whose
+// run rule can also bound and retire its index. On a windowed run
+// (Window > 0) RunRandomized calls NewWindowedRunRule once per trial and
+// drives every correct node through it; a rule without it keeps the
+// per-node path (PerNodeState and WindowedRule) there.
+type WindowedRunState interface {
+	NewWindowedRunRule() WindowedRunRule
+}
+
+// WindowedRunRule is a RunRule whose one index serves a windowed run. The
+// harness records, per node, the size of the view last passed to Append
+// and to Decide, and asks for the floor at the smaller one.
+type WindowedRunRule interface {
+	RunRule
+	// FloorAt returns the smallest id a node can still touch once every
+	// view it appends and decides on holds at least s messages. It must
+	// be monotone in s.
+	FloorAt(s int) int
+	// CompactTo retires index state below w, the minimum over the live
+	// nodes' floors, and returns the watermark achieved.
+	CompactTo(w int) int
 }
 
 // RunRule is the rule one trial's correct nodes share. The run binds it to
@@ -417,7 +443,8 @@ type run struct {
 	authority access.Authority
 	onGrant   func(access.Grant) // grant, bound once per pooled run
 	nodes     []nodeRun
-	shared    RunRule // the correct nodes' rule under PerRunState; nil otherwise
+	shared    RunRule         // the correct nodes' rule under PerRunState; nil otherwise
+	winShared WindowedRunRule // shared, on a windowed run; nil otherwise
 
 	rngAuthority, rngAdversary, rngVis xrand.PCG
 
@@ -441,6 +468,10 @@ type nodeRun struct {
 	crashAt sim.Time
 	readAt  sim.Time // the pending read
 	read    func()   // the read event, bound once per pooled run
+
+	// The sizes of the views last passed to Append and to Decide, -1
+	// before the first: a windowed run's floors under WindowedRunState.
+	appSize, decSize int
 }
 
 var runPool = runner.NewPool(func() *run {
@@ -491,8 +522,15 @@ func (r *run) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) error 
 		r.pooledVis.Rebind(r.sim, &r.rngVis, cfg.Topology, cfg.TopologyDelay, r.mem)
 		r.vis = r.pooledVis
 	}
-	if p, ok := rule.(PerRunState); ok && cfg.Window == 0 {
-		r.shared = p.NewRunRule()
+	if cfg.Window == 0 {
+		if p, ok := rule.(PerRunState); ok {
+			r.shared = p.NewRunRule()
+		}
+	} else if p, ok := rule.(WindowedRunState); ok {
+		r.winShared = p.NewWindowedRunRule()
+		r.shared = r.winShared
+	}
+	if r.shared != nil {
 		r.shared.Reset(r.mem)
 	}
 	r.roster = node.NewRoster(cfg.N, cfg.T).WithCrashes(cfg.Crashes)
@@ -507,7 +545,7 @@ func (r *run) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) error 
 		if nd.read == nil {
 			nd.read = func() { r.read(id) }
 		}
-		nd.view = r.mem.ViewAt(0)
+		nd.view, nd.appSize, nd.decSize = r.mem.ViewAt(0), -1, -1
 		nd.crashAt = sim.Time(math.Inf(1))
 		if r.roster.Role(id) == node.Crash {
 			nd.crashAt = sim.Time(root.Float64()) * r.expDuration()
@@ -606,6 +644,7 @@ func (r *run) grant(g access.Grant) {
 		if r.cfg.AsyncDelayMax > 0 {
 			r.delayedAppend(id, view)
 		} else {
+			nd.appSize = view.Size()
 			nd.rule.Append(view, r.mem.Writer(id), r.cfg.Inputs[id], &nd.rng)
 		}
 	}
@@ -688,6 +727,7 @@ func (r *run) read(id appendmem.NodeID) {
 func (r *run) decide(id appendmem.NodeID) bool {
 	nd := &r.nodes[id]
 	pre := nd.rng.State() // a checkpoint holds the rng from before Decide's draws
+	nd.decSize = nd.view.Size()
 	v, ok := nd.rule.Decide(nd.view, r.cfg.K, &nd.rng)
 	if !ok {
 		return false

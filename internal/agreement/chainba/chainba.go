@@ -37,11 +37,12 @@ import (
 // A Rule without per-node handles (the zero value, or one shared rule)
 // rebuilds the chain index on every call: its nil chain.Cached handles are
 // stateless. The agreement harness instead drives a trial's correct nodes
-// through NewRunRule, one chain index of the trial's memory queried at
-// each view's size, or — on windowed runs and for the value-flipping
-// adversary — through NewNodeRule, whose per-node handles extend their
-// indexes with the node's monotonically growing view. Behaviour is
-// identical every way.
+// through one chain index of the trial's memory queried at each view's
+// size: NewRunRule on unbounded runs, NewWindowedRunRule — the same rule,
+// whose index also retires — on windowed ones. The value-flipping
+// adversary and wrappers that expose only agreement.PerNodeState use
+// NewNodeRule, whose per-node handles extend their indexes with the
+// node's monotonically growing view. Behaviour is identical every way.
 type Rule struct {
 	TB      chain.TieBreaker
 	Confirm int
@@ -110,7 +111,12 @@ func (r Rule) CompactAppendTo(w int) int { return r.app.CompactTo(w) }
 
 // NewRunRule implements agreement.PerRunState: one rule for every correct
 // node of a trial, reading one pooled chain index of the trial's memory.
-func (r Rule) NewRunRule() agreement.RunRule {
+func (r Rule) NewRunRule() agreement.RunRule { return r.NewWindowedRunRule() }
+
+// NewWindowedRunRule implements agreement.WindowedRunState: the same run
+// rule, which also answers each node's reachability floor at a prefix
+// size and compacts the one index for windowed runs.
+func (r Rule) NewWindowedRunRule() agreement.WindowedRunRule {
 	rr := runRules.Get()
 	rr.rule = Rule{TB: r.TB, Confirm: r.Confirm}
 	return rr
@@ -159,6 +165,19 @@ func (r *runRule) Append(view appendmem.View, w *appendmem.Writer, input int64, 
 func (r *runRule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
 	return r.rule.decide(r.at(), view, k, rng)
 }
+
+// FloorAt implements agreement.WindowedRunRule: the tip floor of the
+// prefix of size s, or s when that prefix holds no chain — what a node's
+// per-node index reports as its Floor once it has read a view of size s.
+func (r *runRule) FloorAt(s int) int {
+	if f := r.tree.TipFloorAt(s); f >= 0 {
+		return int(f)
+	}
+	return s
+}
+
+// CompactTo implements agreement.WindowedRunRule.
+func (r *runRule) CompactTo(w int) int { return r.tree.Compact(w) }
 
 // Indexed returns the blocks the trial's index has ingested: the memory's
 // length once the index has caught up, each block counted once.

@@ -2,6 +2,8 @@ package agreement_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -31,11 +33,43 @@ func (r nodeOnly) NewNodeRule() agreement.HonestRule {
 	return r.rule.(agreement.PerNodeState).NewNodeRule()
 }
 
+// retireLog wraps a windowed adversary and records every watermark the
+// harness retires the memory to: each retirement compacts the adversary
+// at that watermark before it retires the memory.
+type retireLog struct {
+	agreement.Adversary
+	marks *[]int
+}
+
+func (a retireLog) ViewFloor() int {
+	return a.Adversary.(agreement.WindowedAdversary).ViewFloor()
+}
+
+func (a retireLog) CompactTo(w int) {
+	*a.marks = append(*a.marks, w)
+	a.Adversary.(agreement.WindowedAdversary).CompactTo(w)
+}
+
+// knob is one harness feature a differential run turns on.
+type knob struct {
+	name  string
+	apply func(*agreement.RandomizedConfig)
+}
+
 // TestSharedIndexMatchesPerNode runs every config twice, once through the
 // rule's trial-shared index (PerRunState) and once through per-node
 // instances, and requires byte-identical Results: every decision, time,
 // count and message. The table crosses the tie-breaks and pivots with the
 // harness features that change which views nodes append and decide on.
+//
+// The chain rules also run windowed (WindowedRunState), against a silent
+// and a value-flipping adversary, with and without a confirmation depth,
+// at windows of 64 and of exactly the decision lookback k+confirm, and at
+// 8 — fewer messages than one Δ brings at this rate, so the nodes query
+// prefixes older than the window and an index compacted past their floors
+// fails. There the shared index must also retire the memory at the very
+// watermarks the per-node indexes do: the print carries the peak live
+// count and every live message, and the retirement sequence must match.
 func TestSharedIndexMatchesPerNode(t *testing.T) {
 	const n, byz = 10, 3
 	isByz := func(id appendmem.NodeID) bool { return int(id) >= n-byz }
@@ -58,10 +92,8 @@ func TestSharedIndexMatchesPerNode(t *testing.T) {
 		{"dag-longest", func(c int) agreement.HonestRule { return dagba.Rule{Pivot: dagba.Longest, Confirm: c} },
 			func(rule agreement.HonestRule) agreement.Adversary { return &agreement.ValueFlip{Rule: rule} }},
 	}
-	knobs := []struct {
-		name  string
-		apply func(*agreement.RandomizedConfig)
-	}{
+	knobs := []knob{
+		// The first three are the knobs a window allows.
 		{"default", func(*agreement.RandomizedConfig) {}},
 		{"crashes", func(c *agreement.RandomizedConfig) { c.Crashes = 2 }},
 		{"fresh-reads", func(c *agreement.RandomizedConfig) { c.FreshHonestReads = true }},
@@ -84,6 +116,9 @@ func TestSharedIndexMatchesPerNode(t *testing.T) {
 					assertSamePrint(t, fmt.Sprintf("seed %d", seed), shared, perNode)
 				}
 			})
+		}
+		if strings.HasPrefix(rc.name, "chain") {
+			t.Run(rc.name+"/windowed", func(t *testing.T) { windowedSharedMatchesPerNode(t, rc.rule, knobs[:3]) })
 		}
 		t.Run(rc.name+"/checkpoint", func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
@@ -110,6 +145,47 @@ func TestSharedIndexMatchesPerNode(t *testing.T) {
 				assertSamePrint(t, fmt.Sprintf("seed %d from scratch", seed), agreement.MustRun(cfg, deep, rc.adv(deep)), resumed[1])
 			}
 		})
+	}
+}
+
+// windowedSharedMatchesPerNode runs one chain rule windowed through its
+// shared index and through per-node instances (see
+// TestSharedIndexMatchesPerNode).
+func windowedSharedMatchesPerNode(t *testing.T, rule func(confirm int) agreement.HonestRule, knobs []knob) {
+	const n, byz, k = 10, 3, 81
+	advs := []struct {
+		name string
+		adv  func(agreement.HonestRule) agreement.Adversary
+	}{
+		{"silent", func(agreement.HonestRule) agreement.Adversary { return agreement.Silent{} }},
+		{"flip", func(r agreement.HonestRule) agreement.Adversary { return &agreement.ValueFlip{Rule: r} }},
+	}
+	for _, ac := range advs {
+		for _, confirm := range []int{0, 3} {
+			for _, kc := range knobs {
+				for _, window := range []int{8, 64, k + confirm} {
+					retired := 0
+					for seed := uint64(1); seed <= 3; seed++ {
+						label := fmt.Sprintf("%s confirm=%d %s window=%d seed %d", ac.name, confirm, kc.name, window, seed)
+						cfg := agreement.RandomizedConfig{N: n, T: byz, Lambda: 1, K: k, Seed: seed, Window: window}
+						kc.apply(&cfg)
+						var marks [2][]int
+						var res [2]*agreement.Result
+						for i, r := range []agreement.HonestRule{rule(confirm), nodeOnly{rule(confirm)}} {
+							res[i] = agreement.MustRun(cfg, r, retireLog{ac.adv(rule(confirm)), &marks[i]})
+						}
+						assertSamePrint(t, label, res[0], res[1])
+						if !slices.Equal(marks[0], marks[1]) {
+							t.Fatalf("%s: the shared index retired at %v, per-node indexes at %v", label, marks[0], marks[1])
+						}
+						retired += len(marks[1])
+					}
+					if retired == 0 {
+						t.Fatalf("%s confirm=%d %s window=%d: no seed retired anything", ac.name, confirm, kc.name, window)
+					}
+				}
+			}
+		}
 	}
 }
 

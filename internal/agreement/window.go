@@ -86,10 +86,11 @@ func windowChunk(window int) int {
 }
 
 // windowed arms retirement for a run: every party that can still append
-// must expose a reachability floor, or no retirement bound exists.
+// must expose a reachability floor, or no retirement bound exists. A
+// shared windowed run rule answers for every correct node.
 func (r *run) windowed(rule HonestRule) error {
 	for _, nd := range r.nodes {
-		if _, ok := nd.rule.(WindowedRule); nd.rule != nil && !ok {
+		if _, ok := nd.rule.(WindowedRule); nd.rule != nil && !ok && r.winShared == nil {
 			return fmt.Errorf("agreement: window requires a rule with reachability floors; %T has none", rule)
 		}
 	}
@@ -106,8 +107,9 @@ func (r *run) windowed(rule HonestRule) error {
 
 // retire runs every Δ: take the minimum reachability floor over the
 // parties that can still append (decided and dead nodes never append
-// again), keep at least Window messages live, compact every index to that
-// watermark and retire the memory below it.
+// again), keep at least Window messages live, compact the indexes to that
+// watermark — the correct nodes' one shared index, or each node's own —
+// and retire the memory below it.
 func (r *run) retire() {
 	if r.done {
 		return
@@ -115,24 +117,21 @@ func (r *run) retire() {
 	mem := r.mem
 	w := mem.Len() - r.cfg.Window
 	for i := 0; i < len(r.nodes) && w > mem.Watermark(); i++ {
-		id := appendmem.NodeID(i)
-		wr, ok := r.nodes[i].rule.(WindowedRule)
-		if !ok || !r.alive(id) || r.outcome.Decided[id] {
-			continue
-		}
-		if f := wr.ViewFloor(); f < w {
-			w = f
+		if id := appendmem.NodeID(i); r.nodes[i].rule != nil && r.alive(id) && !r.outcome.Decided[id] {
+			w = min(w, r.floor(&r.nodes[i]))
 		}
 	}
 	if r.winAdv != nil && w > mem.Watermark() {
-		if f := r.winAdv.ViewFloor(); f < w {
-			w = f
-		}
+		w = min(w, r.winAdv.ViewFloor())
 	}
 	if w > mem.Watermark() {
-		for _, nd := range r.nodes {
-			if wr, ok := nd.rule.(WindowedRule); ok {
-				wr.CompactTo(w)
+		if r.winShared != nil {
+			r.winShared.CompactTo(w)
+		} else {
+			for _, nd := range r.nodes {
+				if nd.rule != nil {
+					nd.rule.(WindowedRule).CompactTo(w)
+				}
 			}
 		}
 		if r.winAdv != nil {
@@ -141,4 +140,19 @@ func (r *run) retire() {
 		mem.Retire(w)
 	}
 	r.sim.After(sim.Time(r.cfg.Delta), r.retireTick)
+}
+
+// floor is the smallest id a live correct node can still touch. On the
+// shared index it is the floor at the smaller of the node's last append
+// and decide view sizes — both only grow, and the floor is monotone — and
+// 0 until the node has done both, as a per-node index that has not yet
+// read would build from id 0.
+func (r *run) floor(nd *nodeRun) int {
+	if r.winShared == nil {
+		return nd.rule.(WindowedRule).ViewFloor()
+	}
+	if nd.appSize < 0 || nd.decSize < 0 {
+		return 0
+	}
+	return r.winShared.FloorAt(min(nd.appSize, nd.decSize))
 }

@@ -285,8 +285,8 @@ func (t *Tree) Compact(reqW int) int {
 func (t *Tree) Height() int { return t.height }
 
 // HeightAt returns the length of the longest chain in the view prefix of
-// size s, at most the indexed size. After a Compact s must lie above the
-// watermark.
+// size s, at most the indexed size. After a Compact to watermark w it is
+// exact for every prefix with w <= TipFloorAt(s) (see TipFloorAt).
 func (t *Tree) HeightAt(s int) int {
 	if s > t.built {
 		panic(fmt.Sprintf("chain: HeightAt(%d) past the %d indexed blocks", s, t.built))
@@ -307,9 +307,8 @@ func (t *Tree) HeightAt(s int) int {
 // and allocates nothing once warm.
 //
 // The slice is index-owned: callers must not mutate it, and the next
-// TipsAt or LongestTips call on the Tree overwrites it. After a Compact
-// only s == the indexed size is exact (frozen blocks are no longer
-// listed); prefix queries need an uncompacted Tree.
+// TipsAt or LongestTips call on the Tree overwrites it. After a Compact to
+// watermark w it is exact for every prefix with w <= TipFloorAt(s).
 func (t *Tree) TipsAt(s int) []appendmem.MsgID {
 	h := t.HeightAt(s)
 	if h == 0 {
@@ -333,14 +332,31 @@ func (t *Tree) TipsAt(s int) []appendmem.MsgID {
 }
 
 // TipFloor returns the smallest id among the longest tips, or -1 for an
-// empty tree: the first block to reach the current height. It walks the
-// top depth's links and leaves TipsAt's buffer alone — it is the
-// reachability floor windowed retirement takes the minimum over.
-func (t *Tree) TipFloor() appendmem.MsgID {
-	id := t.topTip()
-	if id < 0 {
+// empty tree: the first block to reach the current height. It is
+// TipFloorAt of the indexed size.
+func (t *Tree) TipFloor() appendmem.MsgID { return t.TipFloorAt(t.built) }
+
+// TipFloorAt returns the smallest id among the longest tips of the view
+// prefix of size s — the first block to reach HeightAt(s) — or -1 when
+// that prefix holds no chain. It walks that depth's links and leaves
+// TipsAt's buffer alone; it is the reachability floor windowed retirement
+// takes the minimum over.
+//
+// It is monotone in s (a block one deeper than the first block at depth
+// h has a parent at depth h, so it arrived later), and it bounds what
+// prefix queries reach: every block at depth HeightAt(s) of prefix s has
+// an id at or above it. So after Compact to watermark w — under Compact's
+// contract that later blocks reference parents at or above w — HeightAt,
+// TipsAt, TipFloorAt and PrefixValues of those tips stay exact for every
+// prefix with w <= TipFloorAt(s): its top-depth blocks are all live and
+// descend from the anchor. One cap at the tip floor of the smallest prefix
+// still to be queried covers every larger one.
+func (t *Tree) TipFloorAt(s int) appendmem.MsgID {
+	h := t.HeightAt(s)
+	if h == 0 {
 		return -1
 	}
+	id := t.lastAt[h-1-len(t.frozenVals)]
 	for {
 		prev := t.blocks[int(id)-t.off].prev
 		if int(prev) < t.off {

@@ -143,10 +143,19 @@ func TestExtendRejectsForeignView(t *testing.T) {
 // arbitrary old blocks (the Byzantine references); in a prefix of one
 // memory a parent always precedes its child, so no block dangles. The
 // Tree grows one block at a time, as a run's index does, and after every
-// step HeightAt, TipsAt, Depth and PrefixValues at every prefix size up
-// to it must equal those of a from-scratch Build of that prefix.
+// step HeightAt, TipsAt, TipFloorAt, Depth and PrefixValues at every
+// prefix size up to it must equal those of a from-scratch Build of that
+// prefix.
+//
+// A compacted Tree must still answer exactly for every prefix s with
+// w <= TipFloorAt(s), which lets a windowed run compact its one shared
+// index at the smallest floor of its live nodes. So each whole-memory
+// Tree is also compacted at the tip floor of every prefix s0 in turn, and
+// the top of every prefix from s0 on — height, longest tips, their floor
+// and each tip's decision values — must still equal Build's.
 func TestDifferentialPrefixQueries(t *testing.T) {
 	histories := []func(*xrand.PCG, int) *appendmem.Memory{chainHistory, recentChainHistory}
+	compacted := 0
 	for h, history := range histories {
 		for seed := uint64(1); seed <= 4; seed++ {
 			m := history(xrand.New(seed, 97), 70)
@@ -161,18 +170,51 @@ func TestDifferentialPrefixQueries(t *testing.T) {
 					assertSamePrefix(t, h, seed, s, inc, refs[s])
 				}
 			}
+			for s0 := 1; s0 <= m.Len(); s0++ {
+				tr := Build(m.Read())
+				if tr.Compact(int(tr.TipFloorAt(s0))) == 0 {
+					continue // Compact declined: nothing frozen to test
+				}
+				compacted++
+				for s := s0; s <= m.Len(); s++ {
+					assertSameTop(t, h, seed, s, tr, refs[s])
+				}
+			}
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("no history let Compact freeze a prefix; the compacted queries went unchecked")
+	}
+	t.Logf("%d compacted trees checked", compacted)
+}
+
+// assertSameTop compares the top of prefix s — the height, the longest
+// tips, their floor and the decision values of every tip — which is all a
+// chain rule reads at a view of size s.
+func assertSameTop(t *testing.T, h int, seed uint64, s int, inc, ref *Tree) {
+	t.Helper()
+	if got, want := inc.HeightAt(s), ref.Height(); got != want {
+		t.Fatalf("history %d seed %d: HeightAt(%d) = %d, Build gives %d", h, seed, s, got, want)
+	}
+	if got, want := inc.TipFloorAt(s), ref.TipFloor(); got != want {
+		t.Fatalf("history %d seed %d: TipFloorAt(%d) = %d, Build gives %d", h, seed, s, got, want)
+	}
+	tips := inc.TipsAt(s)
+	if want := ref.LongestTips(); !equalIDs(tips, want) {
+		t.Fatalf("history %d seed %d: TipsAt(%d) = %v, Build gives %v", h, seed, s, tips, want)
+	}
+	for _, tip := range tips {
+		for _, k := range []int{1, 3, ref.Height(), ref.Height() + 5} {
+			if got, want := inc.PrefixValues(tip, k), ref.PrefixValues(tip, k); !slices.Equal(got, want) {
+				t.Fatalf("history %d seed %d prefix %d: PrefixValues(%d, %d) = %v, Build gives %v", h, seed, s, tip, k, got, want)
+			}
 		}
 	}
 }
 
 func assertSamePrefix(t *testing.T, h int, seed uint64, s int, inc, ref *Tree) {
 	t.Helper()
-	if got, want := inc.HeightAt(s), ref.Height(); got != want {
-		t.Fatalf("history %d seed %d: HeightAt(%d) = %d, Build gives %d", h, seed, s, got, want)
-	}
-	if got, want := inc.TipsAt(s), ref.LongestTips(); !equalIDs(got, want) {
-		t.Fatalf("history %d seed %d: TipsAt(%d) = %v, Build gives %v", h, seed, s, got, want)
-	}
+	assertSameTop(t, h, seed, s, inc, ref)
 	for id := appendmem.MsgID(0); int(id) < s; id++ {
 		di, oki := inc.Depth(id)
 		dr, okr := ref.Depth(id)

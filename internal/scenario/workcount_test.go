@@ -7,25 +7,57 @@ import (
 )
 
 // countingRule exposes a bound rule's run rule and records how many blocks
-// the trial's shared index ingested, read when the run releases it.
+// the trial's shared index ingested, read when the run releases it, and —
+// on a windowed run — how often the harness compacted it.
 type countingRule struct {
 	agreement.HonestRule
-	indexed int
+	indexed, compacts int
 }
 
 // NewRunRule implements agreement.PerRunState.
 func (c *countingRule) NewRunRule() agreement.RunRule {
-	return countedRun{c.HonestRule.(agreement.PerRunState).NewRunRule(), &c.indexed}
+	return countedRun{c.HonestRule.(agreement.PerRunState).NewRunRule(), c}
+}
+
+// NewWindowedRunRule implements agreement.WindowedRunState.
+func (c *countingRule) NewWindowedRunRule() agreement.WindowedRunRule {
+	return countedWindowedRun{c.HonestRule.(agreement.WindowedRunState).NewWindowedRunRule(), c}
 }
 
 type countedRun struct {
 	agreement.RunRule
-	indexed *int
+	c *countingRule
 }
 
-func (c countedRun) Release() {
-	*c.indexed = c.RunRule.(interface{ Indexed() int }).Indexed()
-	c.RunRule.Release()
+func (r countedRun) Release() {
+	r.c.indexed = r.RunRule.(interface{ Indexed() int }).Indexed()
+	r.RunRule.Release()
+}
+
+type countedWindowedRun struct {
+	agreement.WindowedRunRule
+	c *countingRule
+}
+
+func (r countedWindowedRun) CompactTo(w int) int {
+	r.c.compacts++
+	return r.WindowedRunRule.CompactTo(w)
+}
+
+func (r countedWindowedRun) Release() { countedRun{r.WindowedRunRule, r.c}.Release() }
+
+// retirements counts the harness's memory retirements: each one compacts
+// the windowed adversary before it retires the memory.
+type retirements struct {
+	agreement.Adversary
+	n int
+}
+
+func (a *retirements) ViewFloor() int { return a.Adversary.(agreement.WindowedAdversary).ViewFloor() }
+
+func (a *retirements) CompactTo(w int) {
+	a.n++
+	a.Adversary.(agreement.WindowedAdversary).CompactTo(w)
 }
 
 // indexedPerTrial runs trials seeds of spec with a counting rule and
@@ -82,4 +114,35 @@ func TestDagPrivateIndexBound(t *testing.T) {
 	}
 	t.Logf("dag-private: %d blocks ingested for %d appended over %d trials (%.2f per block)",
 		sumIdx, sumApp, len(indexed), float64(sumIdx)/float64(sumApp))
+}
+
+// TestLongHorizonIndexesEachBlockOnce pins the windowed chain's shared
+// index on the long-horizon benchmark spec (k=401 behind a 480-message
+// window, value flips): the trial's one index ingests every block of the
+// memory exactly once and compacts once per memory retirement, at most
+// once per Δ tick, where 2n+1 private indexes each compacted every tick.
+func TestLongHorizonIndexesEachBlockOnce(t *testing.T) {
+	spec := Spec{Protocol: Chain, N: 10, T: 3, Lambda: 1, K: 401, Attack: AttackFlip, Window: 480}
+	b := MustBind(spec)
+	indexed, compacts, ticks := 0, 0, 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		rule := &countingRule{HonestRule: b.Rule()}
+		adv := &retirements{Adversary: b.NewAdversary()}
+		res := agreement.MustRun(b.randomizedConfig(seed, nil), rule, adv)
+		if !res.Verdict.Termination {
+			t.Fatalf("seed %d: the run did not terminate", seed)
+		}
+		if rule.indexed != res.Mem.Len() {
+			t.Fatalf("seed %d: the chain index ingested %d blocks for a %d-block memory", seed, rule.indexed, res.Mem.Len())
+		}
+		tick := int(float64(res.Duration) / res.Cfg.Delta)
+		if rule.compacts != adv.n || adv.n == 0 || adv.n > tick {
+			t.Fatalf("seed %d: %d index compactions for %d retirements over %d ticks", seed, rule.compacts, adv.n, tick)
+		}
+		if res.MemHighWater >= res.TotalAppends {
+			t.Fatalf("seed %d: nothing retired (high-water %d, appends %d)", seed, res.MemHighWater, res.TotalAppends)
+		}
+		indexed, compacts, ticks = indexed+rule.indexed, compacts+rule.compacts, ticks+tick
+	}
+	t.Logf("long-horizon: %d blocks ingested once each, %d compactions over %d ticks in 8 trials", indexed, compacts, ticks)
 }
