@@ -133,12 +133,12 @@ func main() {
 	}
 
 	if spec.Trials > 1 {
-		s, err := scenario.RunTrials(spec, spec.Trials)
+		res, err := scenario.RunSpec(spec, scenario.Options{Workers: *workers})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%s n=%d t=%d λ=%g k=%d attack=%s: %s\n",
-			spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec), s)
+			spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec), trialSummary(res.Points[0]))
 		return
 	}
 
@@ -168,6 +168,17 @@ func attackName(s scenario.Spec) scenario.Attack {
 		return scenario.AttackSilent
 	}
 	return s.Attack
+}
+
+// trialSummary renders the default metrics of a single-point run as
+// "ok X/N (agreement A, validity V, termination T)".
+func trialSummary(pt scenario.PointResult) string {
+	count := map[string]int{}
+	for _, mv := range pt.Metrics {
+		count[mv.Name] = mv.Count
+	}
+	return fmt.Sprintf("ok %d/%d (agreement %d, validity %d, termination %d)",
+		count["ok"], pt.Trials, count["agreement"], count["validity"], count["termination"])
 }
 
 // runSweep executes the spec through the scenario layer and renders the

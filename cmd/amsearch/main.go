@@ -12,7 +12,9 @@
 // default Spec; with -spec the file is the base and explicitly set flags
 // override its fields. The closing "reproduce:" line renders the searched
 // spec back through the same flags, so pasting it reruns the search
-// exactly. The fleet flags come from internal/distrib, shared with amrun.
+// exactly. The fleet flags come from internal/distrib, shared with amrun;
+// without -distribute, -workers-addr or -cache every candidate runs
+// in-process through scenario.RunSpec at -workers.
 //
 // Examples:
 //

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -170,6 +171,123 @@ func TestRunWithCache(t *testing.T) {
 	if s3.FromCache != 0 {
 		t.Fatalf("different seed hit the cache: %+v", s3)
 	}
+}
+
+// wireKey is the cache key Run derives for trials [lo, hi) of a
+// single-point spec: the lease key of the spec with its resolved metric
+// names pinned.
+func wireKey(t testing.TB, spec scenario.Spec, lo, hi int) string {
+	t.Helper()
+	names, _, err := scenario.ResolveMetrics(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Metrics = names
+	return LeaseKey(spec, spec.Seed, lo, hi)
+}
+
+// malformedVals are lease results of the wrong shape for a 4-trial lease
+// of the 4 default metrics.
+var malformedVals = []struct {
+	name string
+	vals [][]uint64
+}{
+	{"narrow-rows", [][]uint64{{1}, {1}, {1}, {1}}},
+	{"too-few-rows", [][]uint64{{1, 1, 1, 1}}},
+}
+
+// A cache entry of the wrong shape under the right key is a miss: the
+// lease reruns, the result is the in-process one, and the fresh result
+// overwrites the entry.
+func TestMalformedCacheEntryIsMiss(t *testing.T) {
+	spec := scenario.Spec{Name: "malformed-entry", Protocol: scenario.Dag, N: 8, T: 2, Lambda: 1, K: 15,
+		Attack: "private-chain", Trials: 4, Seed: 3}
+	local := mustRunLocal(t, spec)
+	key := wireKey(t, spec, 0, 4)
+	for _, tc := range malformedVals {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			data, err := json.Marshal(cacheFile{Key: key, Vals: tc.vals})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cache, err := NewCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, stats, err := Run(spec, Config{Cache: cache, ChunkSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, spec, local, res)
+			if stats.FromCache != 0 || stats.Inline != 1 {
+				t.Fatalf("malformed entry was not a miss: %+v", stats)
+			}
+			fresh, err := NewCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, stats, err = Run(spec, Config{Cache: fresh, ChunkSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, spec, local, res)
+			if stats.FromCache != 1 {
+				t.Fatalf("rerun lease did not overwrite the malformed entry: %+v", stats)
+			}
+		})
+	}
+}
+
+// FuzzCacheEntry puts arbitrary bytes in the cache file of a sweep's only
+// lease. Run must neither panic nor fail, and whenever it did not serve
+// the lease from cache its result is the in-process one.
+func FuzzCacheEntry(f *testing.F) {
+	spec := scenario.Spec{Name: "fuzz-entry", Protocol: scenario.Sync, N: 4, T: 1, Trials: 4, Seed: 2}
+	local, err := scenario.RunSpec(spec, scenario.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := wireKey(f, spec, 0, 4)
+	mem, err := NewCache("", 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := Run(spec, Config{Cache: mem, ChunkSize: 4}); err != nil {
+		f.Fatal(err)
+	}
+	good, _ := mem.Get(key)
+	for _, vals := range append([][][]uint64{good}, malformedVals[0].vals, malformedVals[1].vals) {
+		data, err := json.Marshal(cacheFile{Key: key, Vals: vals})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte("not json"))
+	f.Add([]byte(`{"key":"other","vals":[[1,2,3,4]]}`))
+	f.Add([]byte(`{"key":"` + key + `","vals":null}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cache, err := NewCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, stats, err := Run(spec, Config{Cache: cache, ChunkSize: 4, InlineWorkers: 1})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if stats.FromCache == 0 && !reflect.DeepEqual(local, res) {
+			t.Fatalf("a cache miss changed the result\nlocal: %+v\ngot:   %+v", local, res)
+		}
+	})
 }
 
 func BenchmarkLeaseKey(b *testing.B) {

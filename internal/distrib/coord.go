@@ -11,7 +11,8 @@ import (
 // Config tunes one distributed sweep execution.
 type Config struct {
 	// Workers are the connected worker transports. Empty means every lease
-	// runs inline in this process (the cache still applies).
+	// runs inline in this process; with no Cache either, the sweep is
+	// scenario.RunSpec's and no lease is planned.
 	Workers []Transport
 	// Cache, when non-nil, serves completed leases by content address and
 	// stores fresh results.
@@ -19,35 +20,20 @@ type Config struct {
 	// LeaseTimeout bounds one lease on one worker; past it the worker is
 	// declared lost and the lease reassigned. 0 means DefaultLeaseTimeout.
 	LeaseTimeout time.Duration
-	// ChunkSize is the trial count per lease. It shapes cache keys (a
-	// different chunking addresses different content), so it defaults to a
-	// fixed DefaultChunkSize independent of worker count. When unset AND no
-	// cache is configured, the coordinator sizes chunks adaptively: it times
-	// a first probe lease and scales subsequent chunks toward
-	// TargetLeaseDuration (output bytes are identical either way — only
-	// lease boundaries move).
+	// ChunkSize is the trial count per lease; 0 means DefaultChunkSize. It
+	// shapes cache keys (a different chunking addresses different content),
+	// so the default is fixed, independent of worker count and wall clock.
 	ChunkSize int
-	// TargetLeaseDuration is the wall-clock a lease should take under
-	// adaptive chunk sizing. 0 means DefaultTargetLeaseDuration.
-	TargetLeaseDuration time.Duration
-	// InlineWorkers caps the concurrency of leases run in this process
-	// (no workers configured, probe leases, or fallback after losses):
-	// 1 runs trials sequentially on the calling goroutine, <= 0 uses the
-	// process-wide pool. Results are identical for any value.
+	// InlineWorkers caps the concurrency of trials run in this process
+	// (the whole sweep when neither workers nor a cache is configured,
+	// otherwise each inline lease): 1 runs trials sequentially on the
+	// calling goroutine, <= 0 uses the process-wide pool. Results are
+	// identical for any value.
 	InlineWorkers int
 }
 
 // DefaultLeaseTimeout declares a worker lost when one lease exceeds it.
 const DefaultLeaseTimeout = 2 * time.Minute
-
-// DefaultTargetLeaseDuration is the adaptive chunk sizer's target: long
-// enough that framing is negligible, a small fraction of the lease
-// timeout so stragglers are caught quickly.
-const DefaultTargetLeaseDuration = time.Second
-
-// MaxAdaptiveChunk caps adaptive chunk growth so very fast trials still
-// yield enough leases to load-balance a fleet.
-const MaxAdaptiveChunk = 4096
 
 // DefaultChunkSize is the trials-per-lease default. Small enough to load-
 // balance a handful of workers on typical -trials counts, big enough that
@@ -87,10 +73,18 @@ type outcome struct {
 
 // Run executes the spec's sweep across the configured workers and merges
 // the results in (point, chunk, trial) order, yielding a SweepResult
-// byte-identical to scenario.RunSpec(spec, ...) at the same seed.
+// byte-identical to scenario.RunSpec(spec, ...) at the same seed. With
+// neither workers nor a cache it is that RunSpec call, with zero leases.
 func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) {
+	if len(cfg.Workers) == 0 && cfg.Cache == nil {
+		res, err := scenario.RunSpec(spec, scenario.Options{Workers: cfg.InlineWorkers})
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, &Stats{Points: len(res.Points)}, nil
+	}
 	if spec.Checkpoint {
-		return nil, nil, fmt.Errorf("distrib: checkpointed sweeps are in-process only (a checkpoint cannot cross a process boundary); drop -distribute or checkpoint")
+		return nil, nil, fmt.Errorf("distrib: checkpointed sweeps are in-process only (a checkpoint cannot cross a process boundary); drop -distribute, -cache or checkpoint")
 	}
 	names, defs, err := scenario.ResolveMetrics(spec)
 	if err != nil {
@@ -101,10 +95,6 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 		trials = 1
 	}
 	chunk := cfg.ChunkSize
-	// Adaptive chunk sizing only applies without a cache: cache keys are
-	// chunk-shaped, and a wall-clock-dependent chunking would make keys
-	// unreproducible across runs.
-	adaptive := chunk <= 0 && cfg.Cache == nil
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
@@ -136,51 +126,11 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 	stats := &Stats{Points: len(points)}
 	var leases []*lease
 	wireSpecs := make([]scenario.Spec, len(points))
-	results := make(map[int][][]uint64) // lease id → trial vectors
-
-	// Adaptive sizing: run the first chunk of the first point inline as a
-	// timed probe, then scale the remaining chunks so one lease takes about
-	// TargetLeaseDuration. Only lease boundaries move — the merge
-	// concatenates chunk vectors in (point, trial) order, so the output
-	// stays byte-identical to any other chunking.
-	probeHi := 0
-	var probeVals [][]uint64
-	if adaptive && trials > chunk {
-		probeHi = chunk
-		start := time.Now()
-		probeVals = PackVals(bounds[0].bound.RunTrialValues(bounds[0].extract, 0, probeHi, cfg.InlineWorkers))
-		elapsed := time.Since(start)
-		target := cfg.TargetLeaseDuration
-		if target <= 0 {
-			target = DefaultTargetLeaseDuration
-		}
-		if elapsed > 0 {
-			scaled := int(float64(probeHi) * float64(target) / float64(elapsed))
-			if scaled < 1 {
-				scaled = 1
-			}
-			if scaled > MaxAdaptiveChunk {
-				scaled = MaxAdaptiveChunk
-			}
-			chunk = scaled
-		}
-	}
-
 	for i, pt := range points {
 		ws := pt.Spec
 		ws.Metrics = names
 		wireSpecs[i] = ws
-		lo := 0
-		if i == 0 && probeHi > 0 {
-			// The probe is point 0's first lease, already resolved.
-			l := &lease{id: len(leases), point: 0, lo: 0, hi: probeHi,
-				key: LeaseKey(ws, ws.Seed, 0, probeHi)}
-			leases = append(leases, l)
-			results[l.id] = probeVals
-			stats.Inline++
-			lo = probeHi
-		}
-		for ; lo < trials; lo += chunk {
+		for lo := 0; lo < trials; lo += chunk {
 			hi := lo + chunk
 			if hi > trials {
 				hi = trials
@@ -191,16 +141,15 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 		}
 	}
 	stats.Leases = len(leases)
+	results := make([][][]uint64, len(leases)) // lease id → trial vectors
 
-	// Serve what the cache already knows (the probe lease, if any, is
-	// already resolved).
+	// Serve what the cache already knows. An entry of the wrong shape (a
+	// foreign or damaged file under the right key) is a miss: the lease
+	// reruns and its fresh result overwrites the entry.
 	var todo []*lease
 	for _, l := range leases {
-		if _, done := results[l.id]; done {
-			continue
-		}
 		if cfg.Cache != nil {
-			if vals, ok := cfg.Cache.Get(l.key); ok {
+			if vals, ok := cfg.Cache.Get(l.key); ok && wellFormed(vals, l, len(names)) {
 				results[l.id] = vals
 				stats.FromCache++
 				continue
@@ -235,12 +184,7 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 		byPoint[i] = make([][]float64, 0, trials)
 	}
 	for _, l := range leases {
-		vals, ok := results[l.id]
-		if !ok || len(vals) != l.hi-l.lo {
-			return nil, nil, fmt.Errorf("distrib: lease %d (point %d trials [%d,%d)) yielded %d vectors, want %d",
-				l.id, l.point, l.lo, l.hi, len(vals), l.hi-l.lo)
-		}
-		byPoint[l.point] = append(byPoint[l.point], UnpackVals(vals)...)
+		byPoint[l.point] = append(byPoint[l.point], UnpackVals(results[l.id])...)
 	}
 	for i, pt := range points {
 		out.Points = append(out.Points, scenario.PointResult{
@@ -249,6 +193,21 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 		})
 	}
 	return out, stats, nil
+}
+
+// wellFormed reports whether a lease result from outside this process (a
+// cache entry or a worker reply) has one row per trial of the lease and
+// one column per metric, the shape the merge folds.
+func wellFormed(vals [][]uint64, l *lease, width int) bool {
+	if len(vals) != l.hi-l.lo {
+		return false
+	}
+	for _, row := range vals {
+		if len(row) != width {
+			return false
+		}
+	}
+	return true
 }
 
 // dispatchLeases drives the worker fleet over the todo list: every worker
@@ -383,11 +342,12 @@ func manage(t Transport, wireSpecs []scenario.Spec, leaseCh chan *lease, outcome
 			case rm.m.Type == msgError && rm.m.ID == l.id:
 				outcomes <- outcome{l: l, err: fmt.Errorf("distrib: lease %d (point %d trials [%d,%d)): %s",
 					l.id, l.point, l.lo, l.hi, rm.m.Err)}
-			case rm.m.Type == msgResult && rm.m.ID == l.id:
+			case rm.m.Type == msgResult && rm.m.ID == l.id && wellFormed(rm.m.Vals, l, len(spec.Metrics)):
 				outcomes <- outcome{l: l, vals: rm.m.Vals}
 			default:
-				// Protocol confusion (wrong id, unexpected type): the worker
-				// can no longer be trusted to pair replies with leases.
+				// Protocol confusion (wrong id, unexpected type, a result of
+				// the wrong shape): the worker can no longer be trusted, so
+				// it is lost and its lease requeued; nothing is cached.
 				t.Close()
 				outcomes <- outcome{l: l, lost: true}
 				return

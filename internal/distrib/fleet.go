@@ -29,7 +29,7 @@ func FleetFlags(fs *flag.FlagSet) *Fleet {
 	fs.StringVar(&f.addrs, "workers-addr", "", "comma-separated amworker TCP addresses to shard trials across")
 	fs.StringVar(&f.cacheDir, "cache", "", "content-addressed lease result cache directory")
 	fs.DurationVar(&f.leaseTimeout, "lease-timeout", 0, "per-lease worker timeout before reassignment (0 = 2m)")
-	fs.IntVar(&f.chunk, "chunk", 0, "trials per distributed lease (0 = adaptive sizing, or 16 with -cache; shapes cache keys)")
+	fs.IntVar(&f.chunk, "chunk", 0, "trials per distributed lease (0 = 16; shapes cache keys)")
 	fs.BoolVar(&f.serve, workerFlag, false, "internal: serve leases over stdio (what -distribute spawns)")
 	return f
 }

@@ -454,55 +454,3 @@ func (b *Bound) mustRun(seed uint64) *Result {
 	}
 	return r
 }
-
-// TrialSummary aggregates repeated runs of one scenario.
-type TrialSummary struct {
-	Trials      int
-	OK          int
-	Agreement   int
-	Validity    int
-	Termination int
-}
-
-// Rate returns the all-properties success rate.
-func (s TrialSummary) Rate() float64 {
-	if s.Trials == 0 {
-		return 0
-	}
-	return float64(s.OK) / float64(s.Trials)
-}
-
-func (s TrialSummary) String() string {
-	return fmt.Sprintf("ok %d/%d (agreement %d, validity %d, termination %d)",
-		s.OK, s.Trials, s.Agreement, s.Validity, s.Termination)
-}
-
-// RunTrials executes trials runs with seeds spec.Seed, spec.Seed+1, ...
-// and aggregates the verdicts.
-func RunTrials(spec Spec, trials int) (TrialSummary, error) {
-	var s TrialSummary
-	b, err := Bind(spec)
-	if err != nil {
-		return s, err
-	}
-	for i := 0; i < trials; i++ {
-		r, err := b.Run(spec.Seed + uint64(i))
-		if err != nil {
-			return s, err
-		}
-		s.Trials++
-		if r.Verdict.OK() {
-			s.OK++
-		}
-		if r.Verdict.Agreement {
-			s.Agreement++
-		}
-		if r.Verdict.Validity {
-			s.Validity++
-		}
-		if r.Verdict.Termination {
-			s.Termination++
-		}
-	}
-	return s, nil
-}

@@ -304,45 +304,74 @@ func TestUnifiedRun(t *testing.T) {
 	}
 }
 
-// TestRunTrials: RunTrials aggregates consistent verdict counts over
-// seeds Seed, Seed+1, ..., and the adversary and ablation knobs move
-// them the way the paper says.
-func TestRunTrials(t *testing.T) {
+// verdicts are the default metrics' counts at a single-point sweep.
+type verdicts struct{ Trials, OK, Agreement, Validity, Termination int }
+
+// runVerdicts runs spec for trials seeds through RunSpec and reads the
+// default metrics, checking that each rate is its count over the trials.
+func runVerdicts(t *testing.T, spec Spec, trials int) verdicts {
+	t.Helper()
+	spec.Trials = trials
+	res, err := RunSpec(spec, Options{})
+	if err != nil {
+		t.Fatalf("RunSpec: %v", err)
+	}
+	pt := res.Points[0]
+	v := verdicts{Trials: pt.Trials}
+	for _, mv := range pt.Metrics {
+		if mv.Value != float64(mv.Count)/float64(pt.Trials) {
+			t.Fatalf("metric %s: value %v is not %d/%d", mv.Name, mv.Value, mv.Count, pt.Trials)
+		}
+		switch mv.Name {
+		case "ok":
+			v.OK = mv.Count
+		case "agreement":
+			v.Agreement = mv.Count
+		case "validity":
+			v.Validity = mv.Count
+		case "termination":
+			v.Termination = mv.Count
+		}
+	}
+	return v
+}
+
+// TestRunSpecVerdicts: RunSpec's default metrics count consistent
+// verdicts over seeds Seed, Seed+1, ..., and the adversary and ablation
+// knobs move them the way the paper says.
+func TestRunSpecVerdicts(t *testing.T) {
 	cases := []struct {
 		name   string
 		spec   Spec
 		trials int
-		check  func(t *testing.T, s TrialSummary) // nil: the common checks only
+		check  func(t *testing.T, v verdicts) // nil: the common checks only
 	}{
 		{"chain", Spec{Protocol: Chain, N: 5, T: 1, Lambda: 1, K: 7, Seed: 1}, 4, nil},
 		{"dag", Spec{Protocol: Dag, N: 8, T: 2, Lambda: 0.5, K: 11, Seed: 10}, 5,
-			func(t *testing.T, s TrialSummary) {
-				if s.OK == 0 {
-					t.Errorf("no trial ok: %+v", s)
+			func(t *testing.T, v verdicts) {
+				if v.OK == 0 {
+					t.Errorf("no trial ok: %+v", v)
 				}
 			}},
 		// The flip attack must hurt validity at small k.
 		{"flip-wiring", Spec{Protocol: Timestamp, N: 10, T: 4, Lambda: 0.5, K: 5, Attack: AttackFlip}, 30,
-			func(t *testing.T, s TrialSummary) {
-				if s.Validity == s.Trials {
+			func(t *testing.T, v verdicts) {
+				if v.Validity == v.Trials {
 					t.Error("flip attack had no effect; wiring broken?")
 				}
 			}},
 		// An async blackout breaks DAG validity under the private chain.
 		{"stall", Spec{Protocol: Dag, N: 10, T: 4, Lambda: 1, K: 41, Attack: AttackPrivateChain, StallAtSize: 30, StallFor: 6}, 15,
-			func(t *testing.T, s TrialSummary) {
-				if s.Validity > 7 {
-					t.Errorf("blackout barely hurt DAG validity: %d/15 valid", s.Validity)
+			func(t *testing.T, v verdicts) {
+				if v.Validity > 7 {
+					t.Errorf("blackout barely hurt DAG validity: %d/15 valid", v.Validity)
 				}
 			}},
 		// Fresh reads restore chain validity under the tie-break attack at
 		// a rate where stale views collapse.
 		{"fresh-reads", Spec{Protocol: Chain, N: 10, T: 4, Lambda: 1, K: 21, Attack: AttackTieBreak, FreshReads: true}, 15,
-			func(t *testing.T, fresh TrialSummary) {
-				stale, err := RunTrials(Spec{Protocol: Chain, N: 10, T: 4, Lambda: 1, K: 21, Attack: AttackTieBreak}, 15)
-				if err != nil {
-					t.Fatal(err)
-				}
+			func(t *testing.T, fresh verdicts) {
+				stale := runVerdicts(t, Spec{Protocol: Chain, N: 10, T: 4, Lambda: 1, K: 21, Attack: AttackTieBreak}, 15)
 				if fresh.Validity <= stale.Validity {
 					t.Errorf("fresh reads did not help: stale %d vs fresh %d", stale.Validity, fresh.Validity)
 				}
@@ -350,31 +379,22 @@ func TestRunTrials(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sum, err := RunTrials(tc.spec, tc.trials)
-			if err != nil {
-				t.Fatalf("RunTrials: %v", err)
+			v := runVerdicts(t, tc.spec, tc.trials)
+			if v.Trials != tc.trials {
+				t.Fatalf("trials = %d", v.Trials)
 			}
-			if sum.Trials != tc.trials {
-				t.Fatalf("trials = %d", sum.Trials)
-			}
-			if sum.OK > sum.Trials || sum.OK > sum.Agreement || sum.OK > sum.Validity || sum.OK > sum.Termination ||
-				sum.Agreement > sum.Trials || sum.Validity > sum.Trials || sum.Termination > sum.Trials {
-				t.Fatalf("inconsistent summary %+v", sum)
-			}
-			if sum.Rate() < 0 || sum.Rate() > 1 || sum.Rate() != float64(sum.OK)/float64(tc.trials) {
-				t.Fatalf("Rate() = %v", sum.Rate())
-			}
-			if !strings.Contains(sum.String(), "ok ") {
-				t.Fatalf("String() = %q", sum.String())
+			if v.OK > v.Trials || v.OK > v.Agreement || v.OK > v.Validity || v.OK > v.Termination ||
+				v.Agreement > v.Trials || v.Validity > v.Trials || v.Termination > v.Trials {
+				t.Fatalf("inconsistent verdicts %+v", v)
 			}
 			if tc.check != nil {
-				tc.check(t, sum)
+				tc.check(t, v)
 			}
 		})
 	}
 
-	if _, err := RunTrials(Spec{Protocol: "nope", N: 1}, 1); err == nil {
-		t.Fatal("RunTrials accepted a bad spec")
+	if _, err := RunSpec(Spec{Protocol: "nope", N: 1}, Options{}); err == nil {
+		t.Fatal("RunSpec accepted a bad spec")
 	}
 }
 

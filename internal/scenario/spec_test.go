@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -270,4 +272,44 @@ func TestValueJSON(t *testing.T) {
 	if ParseValue("1.5").Num != 1.5 || !ParseValue("x").IsStr {
 		t.Fatal("ParseValue misclassifies")
 	}
+}
+
+// FuzzParseSpecBind: ParseSpec then Bind, at every sweep point, never
+// panics on any input. Bind has no resource budget yet, so the body skips
+// specs whose roster, decision depth or sweep would bind in unbounded
+// memory.
+func FuzzParseSpecBind(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed specs: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		points := 1
+		for _, ax := range spec.Sweep {
+			if points *= len(ax.Values); points > 64 {
+				return
+			}
+		}
+		expanded, err := spec.Expand()
+		if err != nil {
+			return
+		}
+		for _, pt := range expanded {
+			if pt.Spec.N > 64 || pt.Spec.K > 1000 {
+				continue
+			}
+			Bind(pt.Spec)
+		}
+	})
 }

@@ -11,8 +11,9 @@
 // the budget concentrates on the strongest parameterizations. The same
 // seed yields the same candidate order, the same rung decisions and the
 // same winner, regardless of worker count or fleet shape: evaluations go
-// through internal/distrib, whose results are byte-identical to the
-// in-process executor, and rung survival orders by (score, index).
+// through distrib.Run, which without workers or a cache is
+// scenario.RunSpec and otherwise byte-identical to it, and rung survival
+// orders by (score, index).
 // Escalating a survivor from a small rung to a larger one re-runs the
 // same leading trial chunks, which a distrib result cache serves by
 // content address — so halving's apparent re-execution cost mostly
@@ -93,7 +94,9 @@ type Config struct {
 	// 0 means DefaultEta.
 	Eta int
 	// Distrib configures the evaluation backend — workers, result cache,
-	// inline parallelism. The zero value evaluates in-process.
+	// inline parallelism. With neither workers nor a cache each evaluation
+	// is one scenario.RunSpec call at Distrib.InlineWorkers, and Stats
+	// counts no leases.
 	Distrib distrib.Config
 }
 
@@ -352,8 +355,8 @@ func schemaOf(spec scenario.Spec) (adversary.Schema, error) {
 	return def.Schema, nil
 }
 
-// evaluate measures one candidate at one rung via the distributed
-// executor (which degenerates to the in-process path without workers).
+// evaluate measures one candidate at one rung via distrib.Run (which is
+// scenario.RunSpec without workers or a cache).
 func evaluate(base scenario.Spec, c Candidate, obj Objective, metricName string,
 	trials int, dcfg distrib.Config, acc *distrib.Stats) (Eval, error) {
 	sp := base
