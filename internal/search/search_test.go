@@ -81,12 +81,12 @@ func TestGeneratedCandidatesValid(t *testing.T) {
 }
 
 // searchConfig keeps the test search tiny: two rungs, a handful of
-// candidates, fixed chunking so even the lease plan is deterministic.
+// candidates, evaluated in-process.
 func searchConfig(workers int) Config {
 	return Config{
 		Spec: chainBase(), Objective: Disagreement,
 		Budget: 48, Seed: 11, Rungs: []int{4, 8}, Eta: 4,
-		Distrib: distrib.Config{ChunkSize: 4, InlineWorkers: workers},
+		Distrib: distrib.Config{InlineWorkers: workers},
 	}
 }
 
@@ -99,9 +99,6 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stats are identical too under fixed chunking, but the determinism
-	// contract is about the trajectory, not the accounting.
-	serial.Stats, parallel.Stats = distrib.Stats{}, distrib.Stats{}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("search trajectory depends on worker count:\n 1: %+v\n 8: %+v", serial, parallel)
 	}
