@@ -266,7 +266,7 @@ func BenchmarkE23_BoundedMemory(b *testing.B) {
 
 func BenchmarkE24_AdversarySearch(b *testing.B) {
 	tables := runExperiment(b, "E24", 8)
-	// Margin of the searched chain adversary over the strongest preset
+	// Lead of the searched chain adversary over the strongest preset
 	// (≥ 0 by the E24 checks; 0 when the search lands exactly on one).
 	rows := tables[0].Rows
 	best := 0.0

@@ -22,9 +22,10 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -108,15 +109,17 @@ func run() int {
 		}
 	}
 
-	var out io.Writer = os.Stdout
+	// out latches the first write error; it is flushed after each
+	// experiment so text output still streams, and checked with the
+	// file's Close once at the end.
+	out, closeOut := bufio.NewWriter(os.Stdout), func() error { return nil }
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
 			return 1
 		}
-		defer f.Close()
-		out = f
+		out, closeOut = bufio.NewWriter(f), f.Close
 	}
 
 	failed := 0
@@ -151,6 +154,7 @@ func run() int {
 			if *check {
 				fmt.Fprintln(out, report.ChecksText(r))
 			}
+			out.Flush()
 		default:
 			results = append(results, r)
 		}
@@ -162,17 +166,19 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "amexp: total %v\n", time.Since(start).Round(time.Millisecond))
 	}
 
+	var writeErr error
 	switch *format {
 	case "json":
-		if err := report.WriteJSON(out, results); err != nil {
-			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
-			return 1
-		}
+		writeErr = report.WriteJSON(out, results)
 	case "csv":
-		if err := report.WriteCSV(out, results); err != nil {
-			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
-			return 1
-		}
+		writeErr = report.WriteCSV(out, results)
+	}
+	if writeErr == nil {
+		writeErr = out.Flush()
+	}
+	if err := errors.Join(writeErr, closeOut()); err != nil {
+		fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
+		return 1
 	}
 	if *format == "json" || *format == "csv" {
 		if *check {

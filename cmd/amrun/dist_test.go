@@ -209,3 +209,22 @@ func parseTiming(t *testing.T, line string) map[string]int {
 	}
 	return out
 }
+
+// A failed write to the -o file must fail the run, in every format.
+func TestOutputWriteErrorExits(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	bin := amrunBin(t)
+	for _, format := range []string{"text", "md", "json", "csv"} {
+		cmd := exec.Command(bin, "-protocol", "chain", "-n", "8", "-t", "2", "-lambda", "1", "-k", "15",
+			"-trials", "2", "-metrics", "ok", "-format", format, "-o", "/dev/full")
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Fatalf("-format %s -o /dev/full: exit %d (%v), want 1\n%s", format, code, err, out)
+		}
+		if !strings.Contains(string(out), "no space left") {
+			t.Fatalf("-format %s: error does not name the failed write: %s", format, out)
+		}
+	}
+}

@@ -22,9 +22,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -226,30 +226,29 @@ func runDistributed(spec scenario.Spec, fleet *distrib.Fleet, format, out string
 // renderSweep writes the point table in the requested format — shared by
 // the in-process and distributed paths so their bytes can only agree.
 func renderSweep(res *scenario.SweepResult, format, out string) {
-	var w io.Writer = os.Stdout
+	w, closeOut := os.Stdout, func() error { return nil }
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		w = f
+		w, closeOut = f, f.Close
 	}
+	var err error
 	switch format {
 	case "text":
-		fmt.Fprint(w, report.TableText(experiments.SweepTable(res)))
+		_, err = fmt.Fprint(w, report.TableText(experiments.SweepTable(res)))
 	case "md":
-		fmt.Fprint(w, report.TableMarkdown(experiments.SweepTable(res)))
+		_, err = fmt.Fprint(w, report.TableMarkdown(experiments.SweepTable(res)))
 	case "json":
-		if err := report.WriteJSON(w, []*experiments.Result{experiments.SweepResult(res)}); err != nil {
-			fatal(err)
-		}
+		err = report.WriteJSON(w, []*experiments.Result{experiments.SweepResult(res)})
 	case "csv":
-		if err := report.WriteCSV(w, []*experiments.Result{experiments.SweepResult(res)}); err != nil {
-			fatal(err)
-		}
+		err = report.WriteCSV(w, []*experiments.Result{experiments.SweepResult(res)})
 	default:
-		fatal(fmt.Errorf("unknown format %q (want text | md | json | csv)", format))
+		err = fmt.Errorf("unknown format %q (want text | md | json | csv)", format)
+	}
+	if err = errors.Join(err, closeOut()); err != nil {
+		fatal(err)
 	}
 }
 

@@ -134,12 +134,9 @@ func (iv Invariants) CheckRun(roster node.Roster, o *node.Outcome, mem *appendme
 		}
 		p := prefix{node: id, vals: make([]int64, len(order))}
 		for j, mid := range order {
-			m := mem.Message(mid)
-			p.vals[j] = m.Value
-			if roster.IsByzantine(m.Author) {
-				p.byz++
-			}
+			p.vals[j] = mem.Message(mid).Value
 		}
+		p.byz, _ = ByzantineRuns(roster, mem, order)
 		prefixes = append(prefixes, p)
 	}
 
@@ -185,4 +182,22 @@ func (iv Invariants) CheckRun(roster node.Roster, o *node.Outcome, mem *appendme
 		}
 	}
 	return out
+}
+
+// ByzantineRuns counts the Byzantine-authored messages among ids, an
+// ordered prefix of mem, and the longest run of consecutive ones: the
+// quantities the validity bound, chain quality (§5.2) and Lemma 5.5's
+// Byzantine runs read off a canonical order.
+func ByzantineRuns(roster node.Roster, mem *appendmem.Memory, ids []appendmem.MsgID) (byz, longest int) {
+	run := 0
+	for _, id := range ids {
+		if !roster.IsByzantine(mem.Message(id).Author) {
+			run = 0
+			continue
+		}
+		byz++
+		run++
+		longest = max(longest, run)
+	}
+	return byz, longest
 }

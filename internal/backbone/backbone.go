@@ -19,12 +19,10 @@
 package backbone
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/agreement"
 	"repro/internal/appendmem"
-	"repro/internal/chain"
-	"repro/internal/dag"
 	"repro/internal/node"
 )
 
@@ -43,9 +41,6 @@ type Report struct {
 	Wasted float64
 }
 
-// prefixFor returns the decision prefix (first k block ids) of one view.
-type prefixFor func(view appendmem.View, k int) []appendmem.MsgID
-
 // chopDepth returns how many trailing elements of the shorter slice must
 // be removed for it to be a prefix of the longer one.
 func chopDepth(a, b []appendmem.MsgID) int {
@@ -60,96 +55,51 @@ func chopDepth(a, b []appendmem.MsgID) int {
 	return n - common
 }
 
-// analyze computes the report. prefix and finalStructured typically close
-// over one cached index (chain.Cached / dag.Cached); analyze visits the
-// per-node decision views in ascending size order and the final (largest)
-// view last, so the index only ever extends — each block is processed once
-// across the whole analysis instead of once per view.
-func analyze(r *agreement.Result, k int, prefix prefixFor, finalStructured func() int, total int) Report {
+// Analyze measures the backbone properties of a chain or DAG run. order
+// is the run's canonical order oracle (scenario.Bound.OrderFunc): Analyze
+// asks it once, for every decided correct node's decision-view size and
+// the final size, in ascending order, so one index serves the whole
+// analysis.
+func Analyze(r *agreement.Result, k int, order func(*appendmem.Memory, []int) [][]appendmem.MsgID) Report {
 	rep := Report{}
-
-	// Common prefix across the decided correct nodes' decision views.
-	// chopDepth is taken as a max over unordered pairs, so visiting the
-	// views sorted by size leaves the result unchanged.
 	var sizes []int
 	for _, id := range r.Roster.Correct() {
-		if !r.Outcome.Decided[id] || r.DecideViewSize[id] == 0 {
-			continue
+		if r.Outcome.Decided[id] {
+			sizes = append(sizes, r.DecideViewSize[id])
 		}
-		sizes = append(sizes, r.DecideViewSize[id])
 	}
-	sort.Ints(sizes)
-	prefixes := make([][]appendmem.MsgID, 0, len(sizes))
-	for _, size := range sizes {
-		prefixes = append(prefixes, prefix(r.Mem.ViewAt(size), k))
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	decided := len(sizes)
+	if final := r.Mem.Len(); decided == 0 || sizes[decided-1] < final {
+		sizes = append(sizes, final)
 	}
-	for i := 0; i < len(prefixes); i++ {
-		for j := i + 1; j < len(prefixes); j++ {
-			if d := chopDepth(prefixes[i], prefixes[j]); d > rep.CommonPrefixViolation {
+	orders := order(r.Mem, sizes)
+	firstK := func(ids []appendmem.MsgID) []appendmem.MsgID { return ids[:min(len(ids), k)] }
+
+	// Common prefix across the decided correct nodes' decision views.
+	// chopDepth is taken as a max over unordered pairs, and equal views
+	// chop nothing, so each distinct view size is visited once.
+	for i := 0; i < decided; i++ {
+		for j := i + 1; j < decided; j++ {
+			if d := chopDepth(firstK(orders[i]), firstK(orders[j])); d > rep.CommonPrefixViolation {
 				rep.CommonPrefixViolation = d
 			}
 		}
 	}
 
-	structured := finalStructured()
+	final := orders[len(orders)-1]
 	if r.Duration > 0 {
-		rep.Growth = float64(structured) / (float64(r.Duration) / r.Cfg.Delta)
+		rep.Growth = float64(len(final)) / (float64(r.Duration) / r.Cfg.Delta)
 	}
-	ids := prefix(r.FinalView, k)
-	if len(ids) > 0 {
-		honest := 0
-		for _, id := range ids {
-			if !r.Roster.IsByzantine(r.FinalView.Message(id).Author) {
-				honest++
-			}
-		}
-		rep.Quality = float64(honest) / float64(len(ids))
+	if ids := firstK(final); len(ids) > 0 {
+		byz, _ := agreement.ByzantineRuns(r.Roster, r.Mem, ids)
+		rep.Quality = float64(len(ids)-byz) / float64(len(ids))
 	}
-	if total > 0 {
-		rep.Wasted = float64(total-structured) / float64(total)
+	if r.TotalAppends > 0 {
+		rep.Wasted = float64(r.TotalAppends-len(final)) / float64(r.TotalAppends)
 	}
 	return rep
-}
-
-// AnalyzeChain measures the backbone properties of a chain (Algorithm 5)
-// run. The canonical selection uses first-arrived tie-breaking, which is
-// deterministic and view-only.
-func AnalyzeChain(r *agreement.Result, k int) Report {
-	idx := chain.NewCached()
-	sel := func(view appendmem.View, k int) []appendmem.MsgID {
-		ids := idx.At(view).SelectedChain(chain.FirstTieBreaker{})
-		if len(ids) > k {
-			ids = ids[:k]
-		}
-		return ids
-	}
-	final := func() int { return idx.At(r.FinalView).Height() }
-	return analyze(r, k, sel, final, r.TotalAppends)
-}
-
-// AnalyzeDag measures the backbone properties of a DAG (Algorithm 6) run
-// under the given pivot choice.
-func AnalyzeDag(r *agreement.Result, k int, ghost bool) Report {
-	idx := dag.NewCached()
-	pivotOf := func(d *dag.Dag) []appendmem.MsgID {
-		if ghost {
-			return d.GhostPivot()
-		}
-		return d.LongestPivot()
-	}
-	sel := func(view appendmem.View, k int) []appendmem.MsgID {
-		d := idx.At(view)
-		ids := d.Linearize(pivotOf(d))
-		if len(ids) > k {
-			ids = ids[:k]
-		}
-		return ids
-	}
-	final := func() int {
-		d := idx.At(r.FinalView)
-		return len(d.Linearize(pivotOf(d)))
-	}
-	return analyze(r, k, sel, final, r.TotalAppends)
 }
 
 // HonestShare returns the honest fraction of all appends in the run — the

@@ -9,7 +9,19 @@ import (
 	"repro/internal/agreement/dagba"
 	"repro/internal/appendmem"
 	"repro/internal/chain"
+	"repro/internal/scenario"
 )
+
+// orderOf is the canonical order oracle of a chain or DAG spec: first-tip
+// tie-breaking for the chain, the GHOST pivot for the DAG.
+func orderOf(t *testing.T, p scenario.Protocol) func(*appendmem.Memory, []int) [][]appendmem.MsgID {
+	t.Helper()
+	order, err := scenario.MustBind(scenario.Spec{Protocol: p, N: 4, Lambda: 1, K: 1}).OrderFunc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return order
+}
 
 func chainRun(t *testing.T, n, tt int, lambda float64, k int, adv agreement.Adversary) *agreement.Result {
 	t.Helper()
@@ -42,7 +54,7 @@ func TestChopDepth(t *testing.T) {
 
 func TestHonestChainBackbone(t *testing.T) {
 	r := chainRun(t, 8, 0, 0.2, 21, agreement.Silent{})
-	rep := AnalyzeChain(r, 21)
+	rep := Analyze(r, 21, orderOf(t, scenario.Chain))
 	if rep.Quality != 1.0 {
 		t.Fatalf("quality = %v with no Byzantine nodes", rep.Quality)
 	}
@@ -59,8 +71,8 @@ func TestHonestChainBackbone(t *testing.T) {
 }
 
 func TestQualityDegradesUnderAttack(t *testing.T) {
-	silent := AnalyzeChain(chainRun(t, 10, 4, 1, 21, agreement.Silent{}), 21)
-	attacked := AnalyzeChain(chainRun(t, 10, 4, 1, 21, &adversary.ChainAttack{P: adversary.TieBreak}), 21)
+	silent := Analyze(chainRun(t, 10, 4, 1, 21, agreement.Silent{}), 21, orderOf(t, scenario.Chain))
+	attacked := Analyze(chainRun(t, 10, 4, 1, 21, &adversary.ChainAttack{P: adversary.TieBreak}), 21, orderOf(t, scenario.Chain))
 	if attacked.Quality >= silent.Quality {
 		t.Fatalf("quality did not degrade: %v -> %v", silent.Quality, attacked.Quality)
 	}
@@ -76,7 +88,7 @@ func TestDagQualityResists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := AnalyzeDag(r, 81, true)
+	rep := Analyze(r, 81, orderOf(t, scenario.Dag))
 	// The DAG cannot be pushed far below the honest token share.
 	if rep.Quality < 0.5 {
 		t.Fatalf("dag quality = %v under private-chain attack", rep.Quality)
@@ -88,7 +100,7 @@ func TestDagQualityResists(t *testing.T) {
 }
 
 func TestChainWastesUnderForks(t *testing.T) {
-	attacked := AnalyzeChain(chainRun(t, 10, 4, 1, 21, &adversary.ChainAttack{P: adversary.TieBreak}), 21)
+	attacked := Analyze(chainRun(t, 10, 4, 1, 21, &adversary.ChainAttack{P: adversary.TieBreak}), 21, orderOf(t, scenario.Chain))
 	if attacked.Wasted < 0.2 {
 		t.Fatalf("high-rate attacked chain wasted only %v", attacked.Wasted)
 	}
@@ -115,7 +127,7 @@ func TestQualityImpliesValidityCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if QualityImpliesValidity(AnalyzeChain(r, 21), r.Verdict) {
+		if QualityImpliesValidity(Analyze(r, 21, orderOf(t, scenario.Chain)), r.Verdict) {
 			agreeing++
 		}
 	}
@@ -137,7 +149,7 @@ func TestCommonPrefixViolationDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if AnalyzeChain(r, 15).CommonPrefixViolation > 0 {
+		if Analyze(r, 15, orderOf(t, scenario.Chain)).CommonPrefixViolation > 0 {
 			found = true
 		}
 	}

@@ -78,19 +78,18 @@ func RunE14(o Options) []*Table {
 	type point struct {
 		label string
 		spec  scenario.Spec
-		isDag bool
 	}
 	points := []point{
 		{"chain, silent",
-			scenario.Spec{Protocol: scenario.Chain, Lambda: 0.25, Attack: scenario.AttackSilent}, false},
+			scenario.Spec{Protocol: scenario.Chain, Lambda: 0.25, Attack: scenario.AttackSilent}},
 		{"chain, tiebreak λ=0.25",
-			scenario.Spec{Protocol: scenario.Chain, Lambda: 0.25, Attack: scenario.AttackTieBreak}, false},
+			scenario.Spec{Protocol: scenario.Chain, Lambda: 0.25, Attack: scenario.AttackTieBreak}},
 		{"chain, tiebreak λ=1",
-			scenario.Spec{Protocol: scenario.Chain, Lambda: 1, Attack: scenario.AttackTieBreak}, false},
+			scenario.Spec{Protocol: scenario.Chain, Lambda: 1, Attack: scenario.AttackTieBreak}},
 		{"dag, private-chain λ=0.25",
-			scenario.Spec{Protocol: scenario.Dag, Lambda: 0.25, Attack: scenario.AttackPrivateChain}, true},
+			scenario.Spec{Protocol: scenario.Dag, Lambda: 0.25, Attack: scenario.AttackPrivateChain}},
 		{"dag, private-chain λ=1",
-			scenario.Spec{Protocol: scenario.Dag, Lambda: 1, Attack: scenario.AttackPrivateChain}, true},
+			scenario.Spec{Protocol: scenario.Dag, Lambda: 1, Attack: scenario.AttackPrivateChain}},
 	}
 
 	tbl := NewTable("E14: backbone properties at t/n = 0.4 (n=10, k=41); honest token share = 0.6",
@@ -108,15 +107,10 @@ func RunE14(o Options) []*Table {
 		spec := p.spec
 		spec.N, spec.T, spec.K = n, t, k
 		b := scenario.MustBind(spec)
+		order := must(b.OrderFunc())
 		sums := runner.TrialsReduce(trials, o.Seed, o.Workers, acc{}, func(seed uint64) res {
 			r := b.Randomized(seed)
-			var rep backbone.Report
-			if p.isDag {
-				rep = backbone.AnalyzeDag(r, k, true)
-			} else {
-				rep = backbone.AnalyzeChain(r, k)
-			}
-			return res{rep, r.Verdict.Validity}
+			return res{backbone.Analyze(r, k, order), r.Verdict.Validity}
 		}, func(a acc, r res) acc {
 			a.growth += r.rep.Growth
 			a.quality += r.rep.Quality

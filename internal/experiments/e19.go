@@ -71,9 +71,11 @@ func RunE19(o Options) []*Table {
 		{"continuous private chains",
 			scenario.Spec{Protocol: scenario.Dag, Attack: scenario.AttackPrivateChain}},
 		{"silent until k-6, then burst",
-			scenario.Spec{Protocol: scenario.Dag, Attack: scenario.AttackLastMinute, Margin: 6}},
+			scenario.Spec{Protocol: scenario.Dag, Attack: scenario.AttackLastMinute,
+				AttackParams: map[string]scenario.Value{"start_within": {Num: 6}}}},
 		{"silent until k-12, then burst",
-			scenario.Spec{Protocol: scenario.Dag, Attack: scenario.AttackLastMinute, Margin: 12}},
+			scenario.Spec{Protocol: scenario.Dag, Attack: scenario.AttackLastMinute,
+				AttackParams: map[string]scenario.Value{"start_within": {Num: 12}}}},
 	} {
 		oks := validity(tc.spec)
 		burst.AddRow(tc.label, oks)

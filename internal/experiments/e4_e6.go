@@ -3,8 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/appendmem"
-	"repro/internal/chain"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -102,25 +100,16 @@ func RunE5(o Options) []*Table {
 			oks     int
 			fracSum float64
 		}
-		tb := chain.AdversarialTieBreaker{IsByzantine: func(id appendmem.NodeID) bool { return int(id) >= n-t }}
 		b := scenario.MustBind(scenario.Spec{
 			Protocol: scenario.Chain, N: n, T: t, Lambda: lambda, K: k,
 			TieBreak: scenario.TieAdversarial, Attack: scenario.AttackFork,
 		})
+		prefix := must(b.ByzantinePrefix())
 		sums := runner.TrialsReduce(trials, o.Seed, o.Workers, acc{}, func(seed uint64) res {
 			r := b.Randomized(seed)
 			frac := 0.0
-			if ids := chain.Build(r.FinalView).SelectedChain(tb); len(ids) > 0 {
-				if len(ids) > k {
-					ids = ids[:k]
-				}
-				byz := 0
-				for _, id := range ids {
-					if r.Roster.IsByzantine(r.FinalView.Message(id).Author) {
-						byz++
-					}
-				}
-				frac = float64(byz) / float64(len(ids))
+			if n, byz, _ := prefix(r.Roster, r.Mem); n > 0 {
+				frac = float64(byz) / float64(n)
 			}
 			return res{r.Verdict.Validity, frac}
 		}, func(a acc, r res) acc {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/abdsim"
 	"repro/internal/access"
-	"repro/internal/dag"
 	"repro/internal/msgnet"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -93,28 +92,13 @@ func RunE7(o Options) []*Table {
 			Protocol: scenario.Dag, N: n, T: n / 4, Lambda: lambda, K: 81,
 			Attack: scenario.AttackPrivateChain,
 		})
+		prefix := must(b.ByzantinePrefix())
 		rs := runner.Trials(trials/2+1, o.Seed, o.Workers, func(seed uint64) res {
 			r := b.Randomized(seed)
-			d := dag.Build(r.FinalView)
-			order := d.Linearize(d.GhostPivot())
-			if len(order) > 81 {
-				order = order[:81]
-			}
-			maxRun, run, byz := 0, 0, 0
-			for _, id := range order {
-				if r.Roster.IsByzantine(r.FinalView.Message(id).Author) {
-					byz++
-					run++
-					if run > maxRun {
-						maxRun = run
-					}
-				} else {
-					run = 0
-				}
-			}
+			m, byz, maxRun := prefix(r.Roster, r.Mem)
 			frac := 0.0
-			if len(order) > 0 {
-				frac = float64(byz) / float64(len(order))
+			if m > 0 {
+				frac = float64(byz) / float64(m)
 			}
 			return res{maxRun, frac}
 		})

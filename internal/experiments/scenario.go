@@ -7,6 +7,15 @@ import (
 	"repro/internal/scenario"
 )
 
+// must unwraps a bind-time result in experiment code, whose compiled-in
+// specs are known valid.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // SweepTable renders an executed scenario sweep as a typed Table: one
 // column per sweep axis (or a single label column for unswept specs),
 // then one column per metric. Rate metrics become ratio cells

@@ -126,7 +126,7 @@ func CountTrials(n int, base uint64, workers int, f func(seed uint64) bool) int 
 }
 
 // RateTrials runs f for seeds base..base+n-1 and returns successes/n as a
-// Ratio — the streaming form of Rate(CountTrue(Trials(...)), n).
+// Ratio — Rate(CountTrials(...), n).
 func RateTrials(n int, base uint64, workers int, f func(seed uint64) bool) Ratio {
 	return Rate(CountTrials(n, base, workers, f), n)
 }
@@ -192,32 +192,6 @@ func (p *Pool[S]) Put(s S) {
 		p.slots = append(p.slots, s)
 	}
 	p.mu.Unlock()
-}
-
-// Resize returns s with length n and zeroed contents, reusing the backing
-// array when capacity allows — the scratch-slice companion of Pool. Zeroing
-// drops references a previous trial left behind.
-func Resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-	return s
-}
-
-// CountTrue counts true values.
-func CountTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // Ratio is a successes/trials pair kept in exact integer form; tables

@@ -202,15 +202,6 @@ func TestPoolBoundedRetention(t *testing.T) {
 	}
 }
 
-func TestCountTrue(t *testing.T) {
-	if got := CountTrue([]bool{true, false, true, true}); got != 3 {
-		t.Fatalf("CountTrue = %d", got)
-	}
-	if got := CountTrue(nil); got != 0 {
-		t.Fatalf("CountTrue(nil) = %d", got)
-	}
-}
-
 func TestRatioValue(t *testing.T) {
 	if v := Rate(17, 20).Value(); v != 0.85 {
 		t.Fatalf("Rate(17,20).Value() = %v", v)

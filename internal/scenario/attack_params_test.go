@@ -49,7 +49,7 @@ func TestBindAcceptsValidAttackParams(t *testing.T) {
 	}
 }
 
-func TestMarginAndStartWithinPrecedence(t *testing.T) {
+func TestStartWithinDefaultAndOverride(t *testing.T) {
 	def, ok := Attacks.Lookup(string(AttackLastMinute))
 	if !ok {
 		t.Fatal("last-minute not registered")
@@ -57,11 +57,7 @@ func TestMarginAndStartWithinPrecedence(t *testing.T) {
 	s := Spec{Attack: AttackLastMinute}
 	p, err := def.ResolveParams(&s)
 	if err != nil || p.StartWithin != 6 {
-		t.Fatalf("default margin: want StartWithin 6, got %d (%v)", p.StartWithin, err)
-	}
-	s.Margin = 9
-	if p, err = def.ResolveParams(&s); err != nil || p.StartWithin != 9 {
-		t.Fatalf("spec margin: want StartWithin 9, got %d (%v)", p.StartWithin, err)
+		t.Fatalf("preset: want StartWithin 6, got %d (%v)", p.StartWithin, err)
 	}
 	s.AttackParams = map[string]Value{"start_within": {Num: 12}}
 	if p, err = def.ResolveParams(&s); err != nil || p.StartWithin != 12 {

@@ -20,12 +20,27 @@ import (
 // the paper's resilience arguments need a correct majority.
 const DefaultMaxByzFraction = 0.5
 
+// analysisTieBreak is the tie-breaker OrderFunc uses to pick the canonical
+// chain of a view: the spec's rule when deterministic, first-tip when the
+// spec uses (or defaults to) the randomized rule — post-hoc analysis has
+// no protocol RNG to draw from.
+func analysisTieBreak(s *Spec) chain.TieBreaker {
+	if s.TieBreak == "" || s.TieBreak == TieRandom {
+		return chain.FirstTieBreaker{}
+	}
+	def, _ := TieBreaks.Lookup(string(s.TieBreak))
+	return def(s.N, s.T)
+}
+
 // OrderFunc returns the protocol's canonical linearization of a memory's
 // prefixes (see agreement.Invariants.Order) — the longest-chain walk
-// under the analysis tie-break, or the pivot linearization. The chain
-// builds one index of the largest prefix and queries it at every size;
-// the DAG grows one index through the ascending sizes and linearizes at
-// each. Chain/dag randomized protocols only.
+// under the analysis tie-break, or the linearization along the spec's
+// pivot. It is the one place a run's canonical order is derived: the
+// invariant checks, the order metrics, backbone and the experiments all
+// read it. The chain builds one index of the largest prefix and queries
+// it at every size; the DAG builds one index of the smallest and grows it
+// through the ascending sizes, linearizing at each. Chain/dag randomized
+// protocols only.
 func (b *Bound) OrderFunc() (func(*appendmem.Memory, []int) [][]appendmem.MsgID, error) {
 	switch b.spec.Protocol {
 	case Chain:
@@ -44,23 +59,43 @@ func (b *Bound) OrderFunc() (func(*appendmem.Memory, []int) [][]appendmem.MsgID,
 			return orders
 		}, nil
 	case Dag:
-		longest := b.spec.Pivot == PivotLongest
+		pivot, err := resolvePivot(&b.spec)
+		if err != nil {
+			return nil, err
+		}
 		return func(mem *appendmem.Memory, sizes []int) [][]appendmem.MsgID {
 			orders := make([][]appendmem.MsgID, len(sizes))
-			d := dag.Build(mem.ViewAt(0))
+			if len(sizes) == 0 {
+				return orders
+			}
+			d := dag.Build(mem.ViewAt(sizes[0]))
 			for i, s := range sizes {
 				d.Extend(mem.ViewAt(s))
-				anchor := d.GhostPivot()
-				if longest {
-					anchor = d.LongestPivot()
-				}
-				orders[i] = d.Linearize(anchor)
+				orders[i] = d.Linearize(pivot.Pivot(d))
 			}
 			return orders
 		}, nil
 	default:
 		return nil, fmt.Errorf("scenario: canonical order applies to chain/dag only, not %q", b.spec.Protocol)
 	}
+}
+
+// ByzantinePrefix binds a reader of the first k values of a run's final
+// canonical order (OrderFunc at the memory's full size): their number, how
+// many of them Byzantine nodes authored, and the longest Byzantine run
+// among them — Theorem 5.3's chain fraction and Lemma 5.5's runs.
+func (b *Bound) ByzantinePrefix() (func(roster node.Roster, mem *appendmem.Memory) (n, byz, longest int), error) {
+	order, err := b.OrderFunc()
+	if err != nil {
+		return nil, err
+	}
+	k := b.spec.K
+	return func(roster node.Roster, mem *appendmem.Memory) (n, byz, longest int) {
+		ids := order(mem, []int{mem.Len()})[0]
+		ids = ids[:min(len(ids), k)]
+		byz, longest = agreement.ByzantineRuns(roster, mem, ids)
+		return len(ids), byz, longest
+	}, nil
 }
 
 // Invariants assembles the agreement invariant checker for the bound

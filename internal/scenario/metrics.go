@@ -3,10 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/appendmem"
-	"repro/internal/chain"
-	"repro/internal/dag"
 )
 
 // MetricKind says how per-run metric values aggregate across trials.
@@ -58,92 +54,29 @@ func randomizedOnly(name string, bind func(b *Bound) (func(*Result) float64, err
 	}
 }
 
-// analysisTieBreak is the tie-breaker the order metrics use to pick the
-// canonical chain of a final view: the spec's rule when deterministic,
-// first-tip when the spec uses (or defaults to) the randomized rule —
-// post-hoc analysis has no protocol RNG to draw from.
-func analysisTieBreak(s *Spec) chain.TieBreaker {
-	if s.TieBreak == "" || s.TieBreak == TieRandom {
-		return chain.FirstTieBreaker{}
-	}
-	def, _ := TieBreaks.Lookup(string(s.TieBreak))
-	return def(s.N, s.T)
-}
-
 // orderedPrefix binds a chain/dag metric over the first k blocks of the
-// run's canonical order, reducing each prefix with stat (maxByzRun or
-// byzShare below).
-func orderedPrefix(stat func(r *Result, ids []appendmem.MsgID) float64) func(b *Bound) (func(*Result) float64, error) {
+// canonical order of the run's final view (ByzantinePrefix), reducing the
+// prefix's Byzantine count and longest Byzantine run (of n > 0 blocks)
+// with stat. An empty order is undefined (NaN): the run appended nothing.
+func orderedPrefix(stat func(byz, longest, n int) float64) func(b *Bound) (func(*Result) float64, error) {
 	return func(b *Bound) (func(*Result) float64, error) {
 		if b.spec.Window > 0 {
 			// Order metrics rebuild the whole chain/dag from the final view;
 			// a windowed run has retired that prefix.
 			return nil, fmt.Errorf("scenario: order metrics need the full final view and cannot run with window > 0")
 		}
-		k := b.spec.K
-		switch b.spec.Protocol {
-		case Chain:
-			tb := analysisTieBreak(&b.spec)
-			return func(r *Result) float64 {
-				ids := chain.Build(r.FinalView).SelectedChain(tb)
-				if len(ids) == 0 {
-					return math.NaN()
-				}
-				if len(ids) > k {
-					ids = ids[:k]
-				}
-				return stat(r, ids)
-			}, nil
-		case Dag:
-			pivot := b.spec.Pivot
-			if pivot == "" {
-				pivot = PivotGhost
+		prefix, err := b.ByzantinePrefix()
+		if err != nil {
+			return nil, err
+		}
+		return func(r *Result) float64 {
+			n, byz, longest := prefix(r.Roster, r.Mem)
+			if n == 0 {
+				return math.NaN()
 			}
-			longest := pivot == PivotLongest
-			return func(r *Result) float64 {
-				d := dag.Build(r.FinalView)
-				anchor := d.GhostPivot()
-				if longest {
-					anchor = d.LongestPivot()
-				}
-				order := d.Linearize(anchor)
-				if len(order) > k {
-					order = order[:k]
-				}
-				return stat(r, order)
-			}, nil
-		default:
-			return nil, fmt.Errorf("scenario: order metrics apply to chain/dag only, not %q", b.spec.Protocol)
-		}
+			return stat(byz, longest, n)
+		}, nil
 	}
-}
-
-func maxByzRun(r *Result, ids []appendmem.MsgID) float64 {
-	maxRun, run := 0, 0
-	for _, id := range ids {
-		if r.Roster.IsByzantine(r.FinalView.Message(id).Author) {
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return float64(maxRun)
-}
-
-func byzShare(r *Result, ids []appendmem.MsgID) float64 {
-	if len(ids) == 0 {
-		return math.NaN()
-	}
-	byz := 0
-	for _, id := range ids {
-		if r.Roster.IsByzantine(r.FinalView.Message(id).Author) {
-			byz++
-		}
-	}
-	return float64(byz) / float64(len(ids))
 }
 
 func init() {
@@ -218,8 +151,12 @@ func init() {
 			})})
 	Metrics.Register("max-byz-run",
 		"mean longest Byzantine run in the first k ordered blocks (Lemma 5.5; chain/dag)",
-		MetricDef{Kind: KindMean, Bind: orderedPrefix(maxByzRun)})
+		MetricDef{Kind: KindMean, Bind: orderedPrefix(func(_, longest, _ int) float64 {
+			return float64(longest)
+		})})
 	Metrics.Register("byz-prefix-share",
 		"mean Byzantine share of the first k ordered blocks (chain/dag)",
-		MetricDef{Kind: KindMean, Bind: orderedPrefix(byzShare)})
+		MetricDef{Kind: KindMean, Bind: orderedPrefix(func(byz, _, n int) float64 {
+			return float64(byz) / float64(n)
+		})})
 }

@@ -163,14 +163,10 @@ type AttackDef struct {
 }
 
 // ResolveParams resolves the attack's parameter assignment for one spec:
-// the preset, adjusted by spec-level sugar (margin overrides a preset's
-// StartWithin), then the spec's attack_params overrides, each validated
+// the preset with the spec's attack_params overrides, each validated
 // against the schema. Attacks without a schema accept no overrides.
 func (d AttackDef) ResolveParams(s *Spec) (adversary.Params, error) {
 	p := d.Preset
-	if s.Margin > 0 && p.StartWithin > 0 {
-		p.StartWithin = s.Margin
-	}
 	if len(s.AttackParams) == 0 {
 		return p, nil
 	}
@@ -206,8 +202,8 @@ func AttackParamLines(name string) []string {
 	return out
 }
 
-// ExplicitAttackParams resolves the spec's attack parameters (preset,
-// margin sugar, attack_params overrides) and renders the full assignment
+// ExplicitAttackParams resolves the spec's attack parameters (preset and
+// attack_params overrides) and renders the full assignment
 // — every schema parameter, not just the overridden ones — as a spec
 // attack_params map. A counterexample spec written with the explicit
 // assignment stays a faithful regression even if a preset's defaults
@@ -449,7 +445,7 @@ func init() {
 			New:       dagTemplate(AttackPrivateChain),
 		})
 	Attacks.Register(string(AttackLastMinute),
-		"Lemma 5.5's literal strategy: stay silent, burst within `margin` of the decision (dag only)",
+		"Lemma 5.5's literal strategy: stay silent, burst within `start_within` ordered values of the decision (dag only)",
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,

@@ -41,7 +41,6 @@ type Spec struct {
 	Confirm  int      `json:"confirm,omitempty" help:"chain/dag confirmation depth"`
 
 	Attack Attack `json:"attack,omitempty" help:"Byzantine strategy (empty = silent)"`
-	Margin int    `json:"margin,omitempty" help:"last-minute attack burst margin (0 = 6)"`
 	// AttackParams overrides individual template parameters of a
 	// parameterized attack (see the attack's Schema, printed by amrun
 	// -list). Unknown names and out-of-range values are rejected at Bind.

@@ -21,7 +21,7 @@ func fullSpec() Spec {
 		Lambda: 0.5, Rates: []float64{1, 1, 1, 1, 1, 1, 1, 2, 2, 2},
 		Delta: 1.5, K: 21, Rounds: 4,
 		TieBreak: TieFirst, Pivot: PivotLongest, Confirm: 5,
-		Attack: AttackPrivateChain, Margin: 6,
+		Attack:       AttackPrivateChain,
 		AttackParams: map[string]Value{"segment": {Num: 3}, "root": {Str: "genesis", IsStr: true}},
 		Inputs:       "split:4",
 		Access:       AccessRoundRobin, FreshReads: true,

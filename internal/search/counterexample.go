@@ -76,7 +76,6 @@ func Counterexample(base scenario.Spec, c Candidate, obj Objective, scanTrials i
 		return scenario.Spec{}, err
 	}
 	sp.AttackParams = explicit
-	sp.Margin = 0 // folded into the explicit start_within
 	sp.Seed = w.Seed
 	sp.Trials = 1
 	sp.Name = fmt.Sprintf("searched-%s-%s", sp.Protocol, w.Why)

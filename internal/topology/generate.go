@@ -1,9 +1,7 @@
 package topology
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/xrand"
 )
@@ -150,34 +148,8 @@ func FromTable(n int, links []Link) (*Graph, error) {
 	return build(n, edges), nil
 }
 
-// tableJSON is the wire form of a latency table:
-//
-//	{"n": 4, "links": [[0,1,0.25], [1,2], [2,3,0.5]]}
-//
-// Each link is [from, to] or [from, to, latency]; omitted latencies
-// default to 1.
-type tableJSON struct {
-	N     int         `json:"n"`
-	Links [][]float64 `json:"links"`
-}
-
-// ParseTable decodes a JSON latency table and builds its graph.
-func ParseTable(data []byte) (*Graph, error) {
-	var t tableJSON
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
-		return nil, fmt.Errorf("topology: bad table: %w", err)
-	}
-	links, err := TableLinks(t.Links)
-	if err != nil {
-		return nil, err
-	}
-	return FromTable(t.N, links)
-}
-
-// TableLinks converts the JSON link rows ([from, to] or [from, to, lat])
-// into Links; omitted latencies default to 1.
+// TableLinks converts a spec's topology_table rows ([from, to] or
+// [from, to, lat]) into Links; omitted latencies default to 1.
 func TableLinks(rows [][]float64) ([]Link, error) {
 	links := make([]Link, 0, len(rows))
 	for i, row := range rows {

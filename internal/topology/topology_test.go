@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/xrand"
@@ -167,25 +168,22 @@ func TestFromTable(t *testing.T) {
 	}
 }
 
-func TestParseTable(t *testing.T) {
-	g, err := ParseTable([]byte(`{"n": 3, "links": [[0,1,0.5], [1,2]]}`))
+func TestTableLinks(t *testing.T) {
+	links, err := TableLinks([][]float64{{0, 1, 0.5}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat, _ := g.Link(0, 1); lat != 0.5 {
-		t.Fatalf("lat(0,1) = %v", lat)
+	if want := []Link{{0, 1, 0.5}, {1, 2, 1}}; !reflect.DeepEqual(links, want) {
+		t.Fatalf("TableLinks = %v, want %v (omitted latency defaults to 1)", links, want)
 	}
-	if lat, _ := g.Link(1, 2); lat != 1 {
-		t.Fatalf("default lat(1,2) = %v", lat)
-	}
-	for _, bad := range []string{
-		`{"n": 3, "links": [[0]]}`,
-		`{"n": 3, "links": [[0,1,1,1]]}`,
-		`{"n": 3, "links": [[0.5,1]]}`,
-		`{"n": 3, "linksss": []}`,
+	for _, bad := range [][][]float64{
+		{{0}},          // one element
+		{{0, 1, 1, 1}}, // four elements
+		{{0.5, 1}},     // non-integer endpoint
+		{{0, 1.5, 1}},  // non-integer endpoint
 	} {
-		if _, err := ParseTable([]byte(bad)); err == nil {
-			t.Fatalf("ParseTable accepted %s", bad)
+		if _, err := TableLinks(bad); err == nil {
+			t.Fatalf("TableLinks accepted %v", bad)
 		}
 	}
 }
