@@ -344,11 +344,11 @@ func BenchmarkDagBuildAndLinearize1000(b *testing.B) {
 	}
 }
 
-// The Dispatch pair times the scheduler itself, not the trials: each
-// iteration fans 256 near-empty trial bodies out through the process-wide
-// pool (chunk claiming, work stealing, seed-order merge) and back. ns/op
-// and allocs/op here are the per-fan-out overhead an experiment pays on
-// top of its real per-trial work.
+// The Dispatch pair times the fan-out itself, not the trials: each
+// iteration fans 256 near-empty trial bodies out over the caller and its
+// helper goroutines (helper start-up, chunk claiming, join, seed-order
+// merge) and back. ns/op and allocs/op here are the per-fan-out overhead
+// an experiment pays on top of its real per-trial work.
 
 func BenchmarkTrialsDispatch(b *testing.B) {
 	b.ReportAllocs()
@@ -378,7 +378,7 @@ func BenchmarkTrialsReduceDispatch(b *testing.B) {
 // sweep is chunked into leases, framed over the wire, executed, merged in
 // chunk order and the session torn down. The delta against
 // TrialsReduceDispatch is what -distribute costs over the in-process
-// pool.
+// fan-out.
 func BenchmarkDistributedDispatch(b *testing.B) {
 	spec := scenario.Spec{Protocol: scenario.Sync, N: 4, T: 1, Trials: 32, Seed: 1}
 	b.ReportAllocs()

@@ -210,21 +210,45 @@ func parseTiming(t *testing.T, line string) map[string]int {
 	return out
 }
 
-// A failed write to the -o file must fail the run, in every format.
+// A failed write must fail the run: the -o file in every sweep format,
+// and stdout for the single-run report and the bare -trials summary line.
 func TestOutputWriteErrorExits(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
 	bin := amrunBin(t)
+	run := []string{"-protocol", "chain", "-n", "8", "-t", "2", "-lambda", "1", "-k", "15"}
+	type tc struct {
+		name   string
+		args   []string
+		stdout bool // write to stdout, pointed at /dev/full, rather than -o
+	}
+	cases := []tc{
+		{"single run", run, true},
+		{"bare -trials", append(run, "-trials", "3"), true},
+	}
 	for _, format := range []string{"text", "md", "json", "csv"} {
-		cmd := exec.Command(bin, "-protocol", "chain", "-n", "8", "-t", "2", "-lambda", "1", "-k", "15",
-			"-trials", "2", "-metrics", "ok", "-format", format, "-o", "/dev/full")
-		out, err := cmd.CombinedOutput()
-		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
-			t.Fatalf("-format %s -o /dev/full: exit %d (%v), want 1\n%s", format, code, err, out)
+		args := append(run, "-trials", "2", "-metrics", "ok", "-format", format, "-o", "/dev/full")
+		cases = append(cases, tc{"-format " + format, args, false})
+	}
+	for _, c := range cases {
+		cmd := exec.Command(bin, c.args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if c.stdout {
+			full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer full.Close()
+			cmd.Stdout = full
 		}
-		if !strings.Contains(string(out), "no space left") {
-			t.Fatalf("-format %s: error does not name the failed write: %s", format, out)
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Fatalf("%s: exit %d (%v), want 1\n%s", c.name, code, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "no space left") {
+			t.Fatalf("%s: error does not name the failed write: %s", c.name, stderr.String())
 		}
 	}
 }

@@ -137,8 +137,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s n=%d t=%d λ=%g k=%d attack=%s: %s\n",
-			spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec), trialSummary(res.Points[0]))
+		emit(fmt.Sprintf("%s n=%d t=%d λ=%g k=%d attack=%s: %s\n",
+			spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec), trialSummary(res.Points[0])))
 		return
 	}
 
@@ -151,6 +151,13 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "amrun:", err)
 	os.Exit(1)
+}
+
+// emit writes s to stdout; a failed write fails the run.
+func emit(s string) {
+	if _, err := os.Stdout.WriteString(s); err != nil {
+		fatal(err)
+	}
 }
 
 func splitList(s string) []string {
@@ -267,12 +274,13 @@ func runOne(spec scenario.Spec, verbose bool, traceN int) bool {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("protocol    %s (attack %s)\n", spec.Protocol, attackName(spec))
-	fmt.Printf("nodes       n=%d t=%d crashes=%d\n", spec.N, spec.T, spec.Crashes)
-	fmt.Printf("verdict     agreement=%v validity=%v termination=%v\n",
+	var w strings.Builder
+	fmt.Fprintf(&w, "protocol    %s (attack %s)\n", spec.Protocol, attackName(spec))
+	fmt.Fprintf(&w, "nodes       n=%d t=%d crashes=%d\n", spec.N, spec.T, spec.Crashes)
+	fmt.Fprintf(&w, "verdict     agreement=%v validity=%v termination=%v\n",
 		r.Verdict.Agreement, r.Verdict.Validity, r.Verdict.Termination)
-	fmt.Printf("appends     total=%d byzantine=%d\n", r.TotalAppends, r.ByzAppends)
-	fmt.Printf("duration    %.3f Δ\n", float64(r.Duration))
+	fmt.Fprintf(&w, "appends     total=%d byzantine=%d\n", r.TotalAppends, r.ByzAppends)
+	fmt.Fprintf(&w, "duration    %.3f Δ\n", float64(r.Duration))
 	if verbose {
 		for i, d := range r.Decision {
 			role := r.Roster.Role(appendmem.NodeID(i))
@@ -280,12 +288,13 @@ func runOne(spec scenario.Spec, verbose bool, traceN int) bool {
 			if r.Decided[i] {
 				status = fmt.Sprintf("decided %+d", d)
 			}
-			fmt.Printf("  node %2d  %-9s input %+d  %s\n", i, role, r.Inputs[i], status)
+			fmt.Fprintf(&w, "  node %2d  %-9s input %+d  %s\n", i, role, r.Inputs[i], status)
 		}
 	}
 	if rec != nil {
-		fmt.Printf("trace (%d events total):\n%s", rec.Len(), rec.Render(traceN))
+		fmt.Fprintf(&w, "trace (%d events total):\n%s", rec.Len(), rec.Render(traceN))
 	}
+	emit(w.String())
 	return r.Verdict.OK()
 }
 

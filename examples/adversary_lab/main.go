@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/chain"
-	"repro/internal/dag"
 	"repro/internal/scenario"
 )
 
@@ -46,6 +45,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		prefix, err := b.ByzantinePrefix()
+		if err != nil {
+			log.Fatal(err)
+		}
+		order, err := b.OrderFunc()
+		if err != nil {
+			log.Fatal(err)
+		}
 		valid := 0
 		var byzShare, damage float64
 		for seed := uint64(0); seed < trials; seed++ {
@@ -56,9 +63,19 @@ func main() {
 			if r.Verdict.Validity {
 				valid++
 			}
-			share, dmg := analyze(r, string(tc.protocol), k)
-			byzShare += share
-			damage += dmg
+			// The Byzantine share of the decision prefix, read from the
+			// run's canonical order, and the blocks that do not contribute
+			// to it: the chain's forks, or the blocks the DAG's order
+			// leaves out.
+			if n, byz, _ := prefix(r.Roster, r.Mem); n > 0 {
+				byzShare += float64(byz) / float64(n)
+			}
+			if tc.protocol == scenario.Dag {
+				size := r.Mem.Len()
+				damage += float64(size - len(order(r.Mem, []int{size})[0]))
+			} else {
+				damage += float64(chain.Build(r.FinalView).Forks())
+			}
 		}
 		dmgLabel := "orphaned blocks"
 		if tc.protocol == scenario.Dag {
@@ -70,46 +87,4 @@ func main() {
 	fmt.Println("\nReading the table: the fork attack needs adversarial ties (Theorem 5.3);")
 	fmt.Println("the tie-break attack kills the chain at high λ (Theorem 5.4); the DAG")
 	fmt.Println("wastes nothing and holds validity (Theorem 5.6).")
-}
-
-// analyze returns the Byzantine share of the decision prefix and the count
-// of blocks that do not contribute to it (orphans / unordered blocks).
-func analyze(r *scenario.Result, protocol string, k int) (byzShare, damage float64) {
-	view := r.FinalView
-	switch protocol {
-	case "chain":
-		tree := chain.Build(view)
-		ids := tree.SelectedChain(chain.FirstTieBreaker{})
-		if len(ids) == 0 {
-			return 0, 0
-		}
-		if len(ids) > k {
-			ids = ids[:k]
-		}
-		byz := 0
-		for _, id := range ids {
-			if r.Roster.IsByzantine(view.Message(id).Author) {
-				byz++
-			}
-		}
-		return float64(byz) / float64(len(ids)), float64(tree.Forks())
-	case "dag":
-		d := dag.Build(view)
-		order := d.Linearize(d.GhostPivot())
-		unordered := d.Size() - len(order)
-		if len(order) > k {
-			order = order[:k]
-		}
-		if len(order) == 0 {
-			return 0, 0
-		}
-		byz := 0
-		for _, id := range order {
-			if r.Roster.IsByzantine(view.Message(id).Author) {
-				byz++
-			}
-		}
-		return float64(byz) / float64(len(order)), float64(unordered)
-	}
-	return 0, 0
 }

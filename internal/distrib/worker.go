@@ -53,9 +53,9 @@ func runLease(bound *boundEntry, lo, hi int) (vals [][]float64, err error) {
 // Serve runs the worker side of the protocol on one transport until the
 // coordinator closes the stream: answer the hello, then turn every lease
 // into a result (or a deterministic error), across any number of Run
-// calls on the coordinator's side. The worker runs one lease at a time — parallelism inside a lease comes from the
-// process-wide trial pool, and parallelism across leases from the
-// coordinator driving many workers.
+// calls on the coordinator's side. The worker runs one lease at a time —
+// parallelism inside a lease comes from the lease's trial fan-out, and
+// parallelism across leases from the coordinator driving many workers.
 func Serve(t Transport) error {
 	var m Msg
 	if err := t.Recv(&m); err != nil {

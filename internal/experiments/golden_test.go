@@ -58,13 +58,13 @@ func TestGoldenByteIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentWorkersByteIdentical locks the scheduler's determinism
-// contract end to end: the full experiment suite, streamed concurrently
-// over the shared worker pool, renders byte-for-byte the same tables at
-// -workers 1 (inline serial trials, scheduler never engaged) as at
-// -workers 8 (chunked dispatch with work stealing across all the
-// concurrent fan-outs). Any dependence of a result on worker count,
-// chunk boundaries, or cross-experiment interleaving shows up here.
+// TestConcurrentWorkersByteIdentical locks the fan-out's determinism
+// contract end to end: the full experiment suite, streamed concurrently,
+// renders byte-for-byte the same tables at -workers 1 (every trial on
+// the calling goroutine, no helpers) as at -workers 8 (chunks claimed by
+// the caller and seven helpers per fan-out, across all the concurrent
+// fan-outs). Any dependence of a result on worker count, chunk
+// boundaries, or cross-experiment interleaving shows up here.
 func TestConcurrentWorkersByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite at two worker counts is slow")

@@ -7,9 +7,8 @@ import "runtime"
 // earlier experiment have finished, so output streams instead of waiting
 // for the whole set. The concurrency changes nothing about the results —
 // each experiment derives all randomness from (Options.Seed, its own
-// parameter grid), and their trial fan-outs interleave onto the shared
-// runner pool, which merges every fan-out in seed order. emit runs on the
-// calling goroutine.
+// parameter grid), and each of their trial fan-outs merges in seed order
+// whatever executors ran it. emit runs on the calling goroutine.
 //
 // At most GOMAXPROCS experiments run at once. Beyond that there are no
 // idle cycles left to fill — interleaving more of them only grows the

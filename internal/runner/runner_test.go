@@ -122,7 +122,7 @@ func TestCountAndRateTrials(t *testing.T) {
 
 // TestConcurrentFanOuts submits many fan-outs from independent goroutines
 // — the cross-experiment shape — and checks every one merges in seed
-// order while sharing the single pool.
+// order while their executors share the CPUs.
 func TestConcurrentFanOuts(t *testing.T) {
 	const goroutines = 12
 	var wg sync.WaitGroup
@@ -149,8 +149,8 @@ func TestConcurrentFanOuts(t *testing.T) {
 }
 
 // TestNestedTrials pins the no-deadlock property: a trial function that
-// itself fans out makes progress because submitters help run their own
-// jobs even when every pool worker is busy.
+// itself fans out makes progress because the caller of every fan-out
+// runs chunks of it, whatever the other executors are doing.
 func TestNestedTrials(t *testing.T) {
 	out := Trials(8, 0, 0, func(seed uint64) int {
 		inner := Trials(16, seed*100, 0, func(s uint64) int { return int(s) })

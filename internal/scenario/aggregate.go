@@ -64,7 +64,7 @@ func trialValues(run func(seed uint64) *Result, extract []func(*Result) float64)
 }
 
 // RunTrialValues executes trials lo..hi-1 of the bound scenario (seeds
-// Seed+lo .. Seed+hi-1) on the process-wide pool and returns their metric
+// Seed+lo .. Seed+hi-1) as one runner fan-out and returns their metric
 // vectors in seed order. This is the unit of work a distributed lease
 // covers; the vectors are exactly what the in-process executor folds.
 func (b *Bound) RunTrialValues(extract []func(*Result) float64, lo, hi, workers int) [][]float64 {

@@ -95,7 +95,8 @@ type metricAcc struct {
 }
 
 // RunSpec expands the spec's sweep, binds each point once, runs its
-// trials on the shared worker pool and aggregates the named metrics.
+// trials through the runner's chunked fan-out and aggregates the named
+// metrics.
 // Binding or metric errors surface per point, before any trial runs.
 func RunSpec(spec Spec, o Options) (*SweepResult, error) {
 	names, defs, err := ResolveMetrics(spec)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -310,6 +311,57 @@ func FuzzParseSpecBind(f *testing.F) {
 				continue
 			}
 			Bind(pt.Spec)
+		}
+	})
+}
+
+// FuzzParseAxisAttackParams fuzzes the CLI spellings of a sweep axis
+// (ParseAxis) and of attack parameters (ParseAttackParams), seeded from
+// the axes and parameters of examples/scenarios/*.json. Whatever parses
+// is applied to a small spec of the fuzzed protocol and attack, which is
+// expanded and its first point bound. Errors are fine; a panic or a hang
+// is not.
+func FuzzParseAxisAttackParams(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed specs: %v", err)
+	}
+	for _, p := range paths {
+		spec, err := LoadSpec(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var params []string
+		for name, v := range spec.AttackParams {
+			params = append(params, name+"="+v.Text())
+		}
+		sort.Strings(params)
+		axes := []string{"n=4,8"}
+		for _, ax := range spec.Sweep {
+			vals := make([]string, len(ax.Values))
+			for i, v := range ax.Values {
+				vals[i] = v.Text()
+			}
+			axes = append(axes, ax.Name+"="+strings.Join(vals, ","))
+		}
+		for _, axis := range axes {
+			f.Add(axis, strings.Join(params, ","), string(spec.Protocol), string(spec.Attack))
+		}
+	}
+	f.Fuzz(func(t *testing.T, axis, params, protocol, attack string) {
+		spec := Spec{Protocol: Protocol(protocol), Attack: Attack(attack), N: 8, T: 2, Lambda: 1, K: 15, Trials: 1}
+		if ax, err := ParseAxis(axis); err == nil {
+			spec.Sweep = []Axis{ax}
+		}
+		if ap, err := ParseAttackParams(params); err == nil {
+			spec.AttackParams = ap
+		}
+		points, err := spec.Expand()
+		if err != nil || len(points) == 0 {
+			return
+		}
+		if pt := points[0].Spec; pt.N <= 64 && pt.K <= 1000 {
+			Bind(pt)
 		}
 	})
 }
