@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bivalence"
 	"repro/internal/experiments"
@@ -53,7 +54,7 @@ func main() {
 			inputs[i] = 1
 		}
 		g := bivalence.Explore(p, bivalence.Initial(p, inputs), *max)
-		fmt.Print(g.Dot(*dot))
+		emit(g.Dot(*dot))
 		return
 	}
 
@@ -63,17 +64,21 @@ func main() {
 		for i := 1; i < *n; i++ {
 			inputs[i] = 1
 		}
-		fmt.Printf("protocol %s, inputs %v\n", p.Name(), inputs)
+		var w strings.Builder
+		fmt.Fprintf(&w, "protocol %s, inputs %v\n", p.Name(), inputs)
 		g := bivalence.Explore(p, bivalence.Initial(p, inputs), *max)
-		fmt.Printf("explored %d configurations (truncated: %v)\n", g.Size(), g.Truncated())
-		fmt.Printf("initial configuration bivalent (Lemma 2.2): %v\n", g.Bivalent(g.Root()))
+		fmt.Fprintf(&w, "explored %d configurations (truncated: %v)\n", g.Size(), g.Truncated())
+		fmt.Fprintf(&w, "initial configuration bivalent (Lemma 2.2): %v\n", g.Bivalent(g.Root()))
 		trace, ok := g.NonDecidingSchedule(g.Root(), *cycles)
-		fmt.Printf("non-deciding schedule over %d round-robin cycles: ok=%v, %d configurations visited\n",
+		fmt.Fprintf(&w, "non-deciding schedule over %d round-robin cycles: ok=%v, %d configurations visited\n",
 			*cycles, ok, len(trace))
+		if ok {
+			w.WriteString("every visited configuration is bivalent and undecided — the Theorem 2.1 adversary in action\n")
+		}
+		emit(w.String())
 		if !ok {
 			os.Exit(2)
 		}
-		fmt.Println("every visited configuration is bivalent and undecided — the Theorem 2.1 adversary in action")
 		return
 	}
 
@@ -97,18 +102,20 @@ func main() {
 
 	switch *format {
 	case "text":
-		fmt.Print(report.TableText(tbl))
+		out := report.TableText(tbl)
+		if !anyOK {
+			out += "\nevery candidate fails at least one property — consistent with Theorem 2.1\n"
+		}
+		emit(out)
 	case "md":
-		fmt.Print(report.TableMarkdown(tbl))
+		emit(report.TableMarkdown(tbl))
 	case "json":
 		if err := report.WriteJSON(os.Stdout, []*experiments.Result{r}); err != nil {
-			fmt.Fprintf(os.Stderr, "amcheck: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	case "csv":
 		if err := report.WriteCSV(os.Stdout, []*experiments.Result{r}); err != nil {
-			fmt.Fprintf(os.Stderr, "amcheck: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 
@@ -116,7 +123,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "amcheck: a protocol solved 1-resilient consensus — Theorem 2.1 falsified?!")
 		os.Exit(2)
 	}
-	if *format == "text" {
-		fmt.Println("\nevery candidate fails at least one property — consistent with Theorem 2.1")
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "amcheck:", err)
+	os.Exit(1)
+}
+
+// emit writes s to stdout; a failed write fails the run.
+func emit(s string) {
+	if _, err := os.Stdout.WriteString(s); err != nil {
+		fatal(err)
 	}
 }

@@ -61,8 +61,13 @@ func run() int {
 	flag.Parse()
 
 	if *list {
+		var w strings.Builder
 		for _, e := range all {
-			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Title, e.PaperRef)
+			fmt.Fprintf(&w, "%-4s %-55s %s\n", e.ID, e.Title, e.PaperRef)
+		}
+		if _, err := os.Stdout.WriteString(w.String()); err != nil {
+			fmt.Fprintf(os.Stderr, "amexp: %v\n", err)
+			return 1
 		}
 		return 0
 	}

@@ -226,6 +226,7 @@ func TestOutputWriteErrorExits(t *testing.T) {
 	cases := []tc{
 		{"single run", run, true},
 		{"bare -trials", append(run, "-trials", "3"), true},
+		{"-list", []string{"-list"}, true},
 	}
 	for _, format := range []string{"text", "md", "json", "csv"} {
 		args := append(run, "-trials", "2", "-metrics", "ok", "-format", format, "-o", "/dev/full")

@@ -89,7 +89,7 @@ func main() {
 
 	// -list is a query, not a run.
 	if *list {
-		printList()
+		emit(listing())
 		return
 	}
 
@@ -298,31 +298,33 @@ func runOne(spec scenario.Spec, verbose bool, traceN int) bool {
 	return r.Verdict.OK()
 }
 
-// printList enumerates the registries, one line per name with its doc.
-func printList() {
+// listing enumerates the registries, one line per name with its doc.
+func listing() string {
+	var w strings.Builder
 	section := func(title string, names []string, doc func(string) string) {
-		fmt.Printf("%s:\n", title)
+		fmt.Fprintf(&w, "%s:\n", title)
 		for _, name := range names {
-			fmt.Printf("  %-17s %s\n", name, doc(name))
+			fmt.Fprintf(&w, "  %-17s %s\n", name, doc(name))
 		}
-		fmt.Println()
+		w.WriteString("\n")
 	}
 	section("protocols", scenario.Protocols.Names(), scenario.Protocols.Doc)
 	section("tie-breaks (chain)", scenario.TieBreaks.Names(), scenario.TieBreaks.Doc)
 	section("pivots (dag)", scenario.Pivots.Names(), scenario.Pivots.Doc)
-	fmt.Printf("attacks:\n")
+	w.WriteString("attacks:\n")
 	for _, name := range scenario.Attacks.Names() {
-		fmt.Printf("  %-17s [%s] %s\n", name, attackScope(name), scenario.Attacks.Doc(name))
+		fmt.Fprintf(&w, "  %-17s [%s] %s\n", name, attackScope(name), scenario.Attacks.Doc(name))
 		for _, line := range scenario.AttackParamLines(name) {
-			fmt.Printf("      %s\n", line)
+			fmt.Fprintf(&w, "      %s\n", line)
 		}
 	}
-	fmt.Println()
+	w.WriteString("\n")
 	section("access models", scenario.AccessModels.Names(), scenario.AccessModels.Doc)
 	section("topologies", scenario.Topologies.Names(), scenario.Topologies.Doc)
-	fmt.Printf("delay distributions:\n  %s\n\n", strings.Join(topology.DelayKinds(), ", "))
+	fmt.Fprintf(&w, "delay distributions:\n  %s\n\n", strings.Join(topology.DelayKinds(), ", "))
 	section("metrics", scenario.Metrics.Names(), scenario.Metrics.Doc)
-	fmt.Printf("sweep axes:\n  %s\n", strings.Join(scenario.SweepAxes(), ", "))
+	fmt.Fprintf(&w, "sweep axes:\n  %s\n", strings.Join(scenario.SweepAxes(), ", "))
+	return w.String()
 }
 
 // attackScope renders which protocols an attack applies to.

@@ -159,7 +159,7 @@ func main() {
 		return
 	}
 	if c.list {
-		printList()
+		emit(listing())
 		return
 	}
 	stop, err := c.prof.Start()
@@ -202,7 +202,7 @@ func main() {
 			fatal(err)
 		}
 	case "text":
-		printResult(res, cfg.Spec, time.Since(start), c.reproduce(cfg, base, res))
+		emit(summary(res, cfg.Spec, time.Since(start), c.reproduce(cfg, base, res)))
 	default:
 		fatal(fmt.Errorf("unknown format %q (want text | json)", c.format))
 	}
@@ -216,7 +216,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("promote: %w", err))
 		}
-		fmt.Printf("promoted: %s (seed %d, %s)\n", path, ce.Seed, ce.Name)
+		emit(fmt.Sprintf("promoted: %s (seed %d, %s)\n", path, ce.Seed, ce.Name))
 	}
 }
 
@@ -237,47 +237,50 @@ func replay(path string) {
 			path, trials)
 		os.Exit(1)
 	}
-	fmt.Printf("%s: %d/%d trial(s) reproduce (%s)\n", path, hits, trials, strings.Join(why, ", "))
+	emit(fmt.Sprintf("%s: %d/%d trial(s) reproduce (%s)\n", path, hits, trials, strings.Join(why, ", ")))
 }
 
-// printResult renders the search trajectory and the winner, ending with
-// a ready-to-paste reproduction line.
-func printResult(res *search.Result, spec scenario.Spec, elapsed time.Duration, reproduce string) {
-	fmt.Printf("== amsearch: %s n=%d t=%d λ=%g k=%d attack=%s ==\n",
+// summary renders the search trajectory and the winner, ending with a
+// ready-to-paste reproduction line.
+func summary(res *search.Result, spec scenario.Spec, elapsed time.Duration, reproduce string) string {
+	var w strings.Builder
+	fmt.Fprintf(&w, "== amsearch: %s n=%d t=%d λ=%g k=%d attack=%s ==\n",
 		spec.Protocol, spec.N, spec.T, spec.Lambda, spec.K, attackName(spec))
-	fmt.Printf("objective=%s metric=%s seed=%d budget=%d candidates=%d trials-used=%d elapsed=%v\n",
+	fmt.Fprintf(&w, "objective=%s metric=%s seed=%d budget=%d candidates=%d trials-used=%d elapsed=%v\n",
 		res.Objective, res.MetricName, res.Seed, res.Budget, res.Candidates,
 		res.TrialsUsed, elapsed.Round(time.Millisecond))
 	schema := attackSchema(spec)
 	for i, r := range res.Rungs {
-		fmt.Printf("rung %d: trials=%-4d evaluated=%-4d kept=%-4d best score=%.4f  %s\n",
+		fmt.Fprintf(&w, "rung %d: trials=%-4d evaluated=%-4d kept=%-4d best score=%.4f  %s\n",
 			i+1, r.Trials, r.Evaluated, r.Kept, r.Best.Score, r.Best.Text(schema))
 	}
 	b := res.Best
-	fmt.Printf("best: score=%.4f %s=%.4f violations/trial=%.3g  (origin %s, index %d, %d trials)\n",
+	fmt.Fprintf(&w, "best: score=%.4f %s=%.4f violations/trial=%.3g  (origin %s, index %d, %d trials)\n",
 		b.Score, res.MetricName, b.Metric, b.Violations, b.Origin, b.Index, b.Trials)
-	fmt.Printf("  %s\n", b.Text(schema))
+	fmt.Fprintf(&w, "  %s\n", b.Text(schema))
 	if st := res.Stats; st.Dispatched > 0 || st.FromCache > 0 {
-		fmt.Printf("fleet: leases=%d dispatched=%d cache-hits=%d inline=%d retries=%d lost=%d\n",
+		fmt.Fprintf(&w, "fleet: leases=%d dispatched=%d cache-hits=%d inline=%d retries=%d lost=%d\n",
 			st.Leases, st.Dispatched, st.FromCache, st.Inline, st.Retries, st.LostWorker)
 	}
-	fmt.Printf("reproduce: %s\n", reproduce)
+	fmt.Fprintf(&w, "reproduce: %s\n", reproduce)
+	return w.String()
 }
 
-// printList enumerates the search space: every parameterized attack with
+// listing enumerates the search space: every parameterized attack with
 // its schema, and the objectives.
-func printList() {
-	fmt.Println("searchable attacks:")
+func listing() string {
+	var w strings.Builder
+	w.WriteString("searchable attacks:\n")
 	for _, name := range scenario.ParameterizedAttacks() {
-		fmt.Printf("  %-17s %s\n", name, scenario.Attacks.Doc(name))
+		fmt.Fprintf(&w, "  %-17s %s\n", name, scenario.Attacks.Doc(name))
 		for _, line := range scenario.AttackParamLines(name) {
-			fmt.Printf("      %s\n", line)
+			fmt.Fprintf(&w, "      %s\n", line)
 		}
 	}
-	fmt.Println()
-	fmt.Println("objectives:")
-	fmt.Printf("  %-17s maximize 1 - agreement rate (trials where correct nodes split)\n", search.Disagreement)
-	fmt.Printf("  %-17s maximize the mean decision time in Δ\n", search.Latency)
+	w.WriteString("\nobjectives:\n")
+	fmt.Fprintf(&w, "  %-17s maximize 1 - agreement rate (trials where correct nodes split)\n", search.Disagreement)
+	fmt.Fprintf(&w, "  %-17s maximize the mean decision time in Δ\n", search.Latency)
+	return w.String()
 }
 
 // parseRungs parses "16,64,256" into the halving schedule.
@@ -314,4 +317,11 @@ func attackSchema(s scenario.Spec) adversary.Schema {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "amsearch:", err)
 	os.Exit(1)
+}
+
+// emit writes s to stdout; a failed write fails the run.
+func emit(s string) {
+	if _, err := os.Stdout.WriteString(s); err != nil {
+		fatal(err)
+	}
 }

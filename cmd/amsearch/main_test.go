@@ -188,3 +188,31 @@ func shellSplit(t *testing.T, line string) []string {
 	}
 	return strings.Split(strings.TrimSuffix(string(out), "\x00"), "\x00")
 }
+
+// A failed write to stdout must fail the run with exit 1 naming the
+// error: the text report of a search, and the -list listing.
+func TestOutputWriteErrorExits(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	bin := amsearchBin(t)
+	search := []string{"-protocol", "chain", "-n", "9", "-t", "3", "-lambda", "0.5", "-k", "41",
+		"-tiebreak", "adversarial", "-attack", "fork", "-budget", "64", "-rungs", "8,32", "-seed", "1"}
+	for _, args := range [][]string{search, {"-list"}} {
+		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin, args...)
+		var stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = full, &stderr
+		err = cmd.Run()
+		full.Close()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Fatalf("amsearch %s > /dev/full: exit %d (%v), want 1\n%s", strings.Join(args, " "), code, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "no space left") {
+			t.Fatalf("amsearch %s: error does not name the failed write: %s", strings.Join(args, " "), stderr.String())
+		}
+	}
+}

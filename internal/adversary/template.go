@@ -216,8 +216,11 @@ func (a *DagAttack) OnGrant(g access.Grant) {
 	if a.P.Root == RootPivot || a.P.StartWithin > 0 {
 		d := a.idx.At(a.env.Mem.Read())
 		pivot = a.Pivot.Pivot(d)
-		if a.P.StartWithin > 0 && len(d.Linearize(pivot)) < a.env.Cfg.K-a.P.StartWithin {
-			return // too early: wasting the token IS the strategy
+		// Too early while the order covers fewer than K−StartWithin blocks:
+		// wasting the token IS the strategy. The index orders no further
+		// than that.
+		if want := a.env.Cfg.K - a.P.StartWithin; a.P.StartWithin > 0 && want > 0 && len(d.OrderedValues(pivot, want)) < want {
+			return
 		}
 	}
 	lane := 0

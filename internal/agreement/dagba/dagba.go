@@ -178,8 +178,11 @@ type runRule struct {
 	// prefixBlocks counts the blocks the prefix index has ingested: with
 	// the main index's, the run's deterministic ingest count.
 	prefixBlocks int
-	arena        []appendmem.MsgID // backs the memoized parent lists
-	buf          []appendmem.MsgID // parent-list scratch
+	// prefixOrdered counts the ids the prefix index placed before its
+	// last rebuild reset its own count.
+	prefixOrdered int
+	arena         []appendmem.MsgID // backs the memoized parent lists
+	buf           []appendmem.MsgID // parent-list scratch
 }
 
 // sizeMemo is what the rule computed for one view size.
@@ -217,7 +220,7 @@ func (r *runRule) restart(empty appendmem.View) {
 	r.main.Reset(empty)
 	r.prefix.Reset(empty)
 	clear(r.memo)
-	r.memo, r.prefixBlocks, r.arena = r.memo[:0], 0, r.arena[:0]
+	r.memo, r.prefixBlocks, r.prefixOrdered, r.arena = r.memo[:0], 0, 0, r.arena[:0]
 }
 
 // Release implements agreement.RunRule. It drops every reference into
@@ -284,6 +287,7 @@ func (r *runRule) at(s int) *dag.Dag {
 		r.prefix.Extend(r.mem.ViewAt(s))
 	} else {
 		r.prefixBlocks += s
+		r.prefixOrdered += r.prefix.Ordered()
 		r.prefix.Reset(r.mem.ViewAt(s))
 	}
 	return &r.prefix
@@ -306,3 +310,7 @@ func (r *runRule) intern(ps []appendmem.MsgID) []appendmem.MsgID {
 // Indexed returns the blocks the trial's indexes have ingested: the main
 // index's extensions plus every prefix-index block.
 func (r *runRule) Indexed() int { return r.main.Indexed() + r.prefixBlocks }
+
+// Ordered returns the ids the trial's indexes have placed in
+// linearizations: the main index's plus every prefix index's.
+func (r *runRule) Ordered() int { return r.main.Ordered() + r.prefixOrdered + r.prefix.Ordered() }

@@ -19,6 +19,12 @@
 // DAG's ancestry partial order and identical for identical views — the two
 // properties Byzantine agreement on the DAG rests on.
 //
+// The order up to pivot block pⱼ depends only on p₁..pⱼ: past cones never
+// change once a block is appended, and later blocks carry larger ids, so
+// they are never ancestors of ordered ones. A Dag therefore keeps its last
+// linearization across calls and Extends, and each call re-orders only the
+// epochs after the longest pivot prefix it shares with the previous one.
+//
 // # Incremental indexing
 //
 // A Dag is a dense-slice index over the view's MsgID space (IDs are the
@@ -34,7 +40,8 @@
 // rebuild, and a from-scratch Build is O(V). A consumer that re-reads a
 // growing memory every step (see Cached) pays for the new blocks and one
 // walk to the compaction anchor per read, not for the history below it
-// once per block.
+// once per block. Repeated orderings of a growing view (see Linearize)
+// pay only for the epochs whose pivot blocks changed.
 package dag
 
 import (
@@ -103,12 +110,29 @@ type Dag struct {
 	anchorTreeDepth int32
 
 	// Epoch counters for the blocks' visited/ordered stamps, and scratch
-	// buffers the traversals and OrderedValues reuse.
+	// buffers the traversals reuse.
 	visitEpoch   uint64
 	orderedEpoch uint64
 	dfsStack     []appendmem.MsgID
 	epochBuf     []appendmem.MsgID
-	orderBuf     []appendmem.MsgID
+
+	// The linearization cache: the last order linearize produced, one mark
+	// per pivot block it ordered, oldest first. A block's ordered stamp
+	// equals orderedEpoch iff orderBuf holds it, so bumping orderedEpoch
+	// (as Compact does) with the slices emptied drops the cache.
+	orderBuf []appendmem.MsgID
+	marks    []orderMark
+
+	// placed counts the ids linearizations placed since Build or Reset:
+	// the ordering's deterministic work count.
+	placed int
+}
+
+// orderMark records one epoch of the cached linearization: its pivot
+// block and the order's length once the epoch is placed.
+type orderMark struct {
+	pivot appendmem.MsgID
+	end   int
 }
 
 // block is the index's record of one id; a dangling block keeps the
@@ -155,9 +179,13 @@ func (d *Dag) Reset(view appendmem.View) {
 		bestTreeTip: appendmem.None,
 		tips:        d.tips[:0],
 		frozenVals:  d.frozenVals[:0],
-		dfsStack:    d.dfsStack[:0],
-		epochBuf:    d.epochBuf[:0],
-		orderBuf:    d.orderBuf[:0],
+		// New block records carry ordered stamp 0, so epoch 1 marks none:
+		// the linearization cache starts empty.
+		orderedEpoch: 1,
+		dfsStack:     d.dfsStack[:0],
+		epochBuf:     d.epochBuf[:0],
+		orderBuf:     d.orderBuf[:0],
+		marks:        d.marks[:0],
 	}
 	d.extend(view.Size())
 }
@@ -439,6 +467,13 @@ func (d *Dag) bumpGhostBest(p, kid appendmem.MsgID) {
 // It is deterministic, so tests can bound the weight work of a stream.
 func (d *Dag) WeightSteps() int { return d.weightSteps }
 
+// Ordered returns the number of ids the index's linearizations placed
+// since Build or Reset. A call re-places only the epochs after the pivot
+// prefix it shares with the previous call, so on a growing view this
+// stays near the number of blocks ordered, not calls × order length. It
+// is deterministic, so tests can bound the ordering work of a run.
+func (d *Dag) Ordered() int { return d.placed }
+
 // Indexed returns the number of view-prefix blocks the Dag has ingested
 // since Build or Reset: the size of the view it answers for, and its
 // deterministic ingest count.
@@ -572,20 +607,46 @@ func (d *Dag) PastCone(id appendmem.MsgID) []appendmem.MsgID {
 // the pivot block last in its epoch. Since every ancestor has strictly
 // smaller depth, the result is a linear extension of the DAG's ancestry
 // order. Blocks outside the pivot tip's past cone are not ordered (they
-// will be, once a later pivot block references them). The returned slice
-// is the caller's.
+// will be, once a later pivot block references them). The epochs of the
+// pivot prefix shared with the previous ordering are reused (see
+// linearize). The returned slice is the caller's copy.
 func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
-	return d.linearize(nil, pivot, math.MaxInt)
+	return slices.Clone(d.linearize(pivot, math.MaxInt))
 }
 
-// linearize appends Linearize's order to buf[:0], stopping after the
-// epoch that brings it to at least limit ids. The last epoch is ordered
-// whole: the positions inside it depend on its full sort.
-func (d *Dag) linearize(buf, pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
-	order := buf[:0]
-	d.orderedEpoch++
+// linearize returns Linearize's order, stopping after the epoch that
+// brings it to at least limit ids (the last epoch is ordered whole: the
+// positions inside it depend on its full sort), or longer when the cache
+// already holds more. The slice is the index's cache, valid until the
+// next call.
+//
+// The cached epochs of the longest common prefix of pivot and the cached
+// pivot blocks are kept: the epoch of pⱼ is the past cone of pⱼ minus the
+// cones of p₁..pⱼ₋₁, cones never change, and blocks ingested since carry
+// larger ids than any ordered block, so they lie in none of the kept
+// cones. The epochs after that prefix are dropped and their blocks
+// un-stamped; ordering resumes from there. pivot must be a chain, each
+// block a descendant of the one before, as the pivot rules return it.
+func (d *Dag) linearize(pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
+	j := 0
+	for j < len(d.marks) && j < len(pivot) && d.marks[j].pivot == pivot[j] {
+		j++
+	}
+	order := d.orderBuf
+	if j < len(d.marks) {
+		end := 0
+		if j > 0 {
+			end = d.marks[j-1].end
+		}
+		for _, id := range order[end:] {
+			d.blocks[int(id)-d.off].ordered = 0
+		}
+		order, d.marks = order[:end], d.marks[:j]
+	}
+	// One growth covers the marks of the whole pivot.
+	d.marks = slices.Grow(d.marks, len(pivot)-j)
 	oe := d.orderedEpoch
-	for _, pb := range pivot {
+	for _, pb := range pivot[j:] {
 		if len(order) >= limit {
 			break
 		}
@@ -634,25 +695,28 @@ func (d *Dag) linearize(buf, pivot []appendmem.MsgID, limit int) []appendmem.Msg
 		d.epochBuf = epoch[:0]
 		d.blocks[int(pb)-d.off].ordered = oe
 		order = append(order, pb)
+		d.placed += len(epoch) + 1
+		d.marks = append(d.marks, orderMark{pb, len(order)})
 	}
+	d.orderBuf = order
 	return order
 }
 
 // OrderedValues returns the values of the first k blocks in the
 // linearization of the given pivot — the decision input of Algorithm 6
 // Line 10. Fewer than k when the ordering is shorter. Only the epochs
-// covering the first k positions are ordered, into an index-owned buffer;
-// the returned slice is the only allocation. After a Compact the frozen
-// prefix supplies the leading values and pivot is the live segment (what
-// GhostPivot/LongestPivot return), so decisions are unchanged by
-// retirement.
+// covering the first k positions are ordered, and of those only the ones
+// after the pivot prefix shared with the previous ordering (see
+// linearize), into the index's cache; the returned slice is the only
+// allocation. After a Compact the frozen prefix supplies the leading
+// values and pivot is the live segment (what GhostPivot/LongestPivot
+// return), so decisions are unchanged by retirement.
 func (d *Dag) OrderedValues(pivot []appendmem.MsgID, k int) []int64 {
 	if k <= len(d.frozenVals) {
 		return append([]int64(nil), d.frozenVals[:k]...)
 	}
 	rest := k - len(d.frozenVals)
-	order := d.linearize(d.orderBuf, pivot, rest)
-	d.orderBuf = order
+	order := d.linearize(pivot, rest)
 	order = order[:min(len(order), rest)]
 	vals := make([]int64, 0, len(d.frozenVals)+len(order))
 	vals = append(vals, d.frozenVals...)
@@ -713,8 +777,7 @@ func (d *Dag) Compact(reqW int) int {
 		return d.off
 	}
 	// Candidate: deepest ghost-pivot block with id < limit. The pivot path
-	// from the old anchor to the candidate is recorded for the freeze step
-	// (a fresh slice: Linearize reuses the shared scratch buffers).
+	// from the old anchor to the candidate is recorded for the freeze step.
 	var seg []appendmem.MsgID
 	cand := appendmem.None
 	for best := d.rootBest; best != appendmem.None && int(best) < limit; best = d.blocks[int(best)-d.off].ghostBest {
@@ -744,9 +807,9 @@ func (d *Dag) Compact(reqW int) int {
 	// cone — otherwise the cone walk skipping frozen parents would miss
 	// blocks the full linearization orders. Blocks below the old watermark
 	// satisfied (b) at their own retirement, so the walk prunes there.
-	d.orderedEpoch++
-	oe := d.orderedEpoch
-	d.blocks[int(cand)-d.off].ordered = oe
+	d.visitEpoch++
+	e = d.visitEpoch
+	d.blocks[int(cand)-d.off].visited = e
 	stack := append(d.dfsStack[:0], cand)
 	covered := 1
 	for len(stack) > 0 {
@@ -756,8 +819,8 @@ func (d *Dag) Compact(reqW int) int {
 			if p == appendmem.None || int(p) < d.off {
 				continue
 			}
-			if pb := &d.blocks[int(p)-d.off]; pb.ordered != oe {
-				pb.ordered = oe
+			if pb := &d.blocks[int(p)-d.off]; pb.visited != e {
+				pb.visited = e
 				covered++
 				stack = append(stack, p)
 			}
@@ -773,12 +836,11 @@ func (d *Dag) Compact(reqW int) int {
 	if covered != live {
 		return d.off
 	}
-	// Freeze: linearize the pivot segment ending at the candidate. By (b)
-	// this orders exactly the live blocks at or below it, extending
-	// frozenVals by the same values the full index's linearization holds
-	// at those positions.
-	order := d.linearize(d.orderBuf, seg, math.MaxInt)
-	d.orderBuf = order
+	// Freeze: linearize the pivot segment ending at the candidate (reusing
+	// the cached epochs of its prefix). By (b) this orders exactly the live
+	// blocks at or below it, extending frozenVals by the same values the
+	// full index's linearization holds at those positions.
+	order := d.linearize(seg, math.MaxInt)
 	if len(order) != live {
 		panic(fmt.Sprintf("dag: Compact froze %d blocks, expected %d", len(order), live))
 	}
@@ -797,6 +859,11 @@ func (d *Dag) Compact(reqW int) int {
 	d.value = d.value[:copy(d.value, d.value[shift:])]
 	d.authorSeq = d.authorSeq[:copy(d.authorSeq, d.authorSeq[shift:])]
 	d.off = int(cand) + 1
+	// The cache holds the frozen order, now below the watermark: drop it,
+	// un-stamping every cached block at once. The live pivot segment
+	// starts afresh.
+	d.orderedEpoch++
+	d.orderBuf, d.marks = d.orderBuf[:0], d.marks[:0]
 	return d.off
 }
 

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -378,5 +379,68 @@ func TestBatchedGhostTieKeepsOlderKid(t *testing.T) {
 			t.Fatalf("oldKid=%v: ghost pivot %v, want %v (the earlier kid wins the tie)", oldKid, got, want)
 		}
 		assertSameDag(t, m.Len(), d, Build(m.Read()))
+	}
+}
+
+// TestDifferentialOrderCache drives long-lived indexes through random and
+// adversarial histories in random-size Extend steps. At every prefix it
+// asks a random mix of GHOST and longest pivots at several limits
+// (OrderedValues at k and k+confirm, Linearize), on a plain index and on
+// one Compacted at random points, and compares every answer with a fresh
+// Build of that prefix. Each long-lived index reuses the epochs of the
+// pivot prefix it shares with its previous ordering, so a cache that keeps
+// a stale epoch, or fails to un-stamp a dropped one, answers differently.
+// Asking the same query twice in a row must place no id.
+func TestDifferentialOrderCache(t *testing.T) {
+	const k, confirm = 21, 4
+	histories := []func(*xrand.PCG, int) *appendmem.Memory{adversarialHistory, recentDagHistory}
+	rules := []func(*Dag) []appendmem.MsgID{(*Dag).GhostPivot, (*Dag).LongestPivot}
+	compacted := 0
+	for h, history := range histories {
+		for seed := uint64(1); seed <= 8; seed++ {
+			m := history(xrand.New(seed, 53), 90)
+			safe := safeWatermarks(m)
+			rng := xrand.New(seed, 59)
+			plain, pruned := Build(m.ViewAt(0)), Build(m.ViewAt(0))
+			for s := 0; s < m.Len(); {
+				s = min(m.Len(), s+1+rng.Intn(3))
+				plain.Extend(m.ViewAt(s))
+				pruned.Extend(m.ViewAt(s))
+				if rng.Intn(4) == 0 && pruned.Compact(safe[s]) > 0 {
+					compacted++
+				}
+				for q := 0; q < 1+rng.Intn(4); q++ {
+					r, limit := rng.Intn(len(rules)), []int{k, k + confirm, -1}[rng.Intn(3)]
+					// The reference is a fresh index per query: no cache.
+					ref := Build(m.ViewAt(s))
+					full := ref.Linearize(rules[r](ref))
+					for _, d := range []*Dag{plain, pruned} {
+						where := fmt.Sprintf("history %d seed %d prefix %d rule %d limit %d watermark %d", h, seed, s, r, limit, d.off)
+						pivot := rules[r](d)
+						ask := func() {
+							if limit < 0 {
+								if got, want := d.Linearize(pivot), full[len(d.frozenVals):]; !equalIDs(got, want) {
+									t.Fatalf("%s: Linearize = %v, want %v", where, got, want)
+								}
+								return
+							}
+							fresh := Build(m.ViewAt(s))
+							if got, want := d.OrderedValues(pivot, limit), fresh.OrderedValues(rules[r](fresh), limit); !slices.Equal(got, want) {
+								t.Fatalf("%s: OrderedValues = %v, want %v", where, got, want)
+							}
+						}
+						ask()
+						placed := d.Ordered()
+						ask()
+						if d.Ordered() != placed {
+							t.Fatalf("%s: a repeated query placed %d ids", where, d.Ordered()-placed)
+						}
+					}
+				}
+			}
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("no history ever allowed retirement; the compacted half is vacuous")
 	}
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // countingRule exposes a bound rule's run rule and records how many blocks
-// the trial's shared index ingested, read when the run releases it, and —
-// on a windowed run — how often the harness compacted it.
+// the trial's shared index ingested and, for the DAG, how many ids its
+// linearizations placed, read when the run releases it, and — on a
+// windowed run — how often the harness compacted it.
 type countingRule struct {
 	agreement.HonestRule
-	indexed, compacts int
+	indexed, ordered, compacts int
 }
 
 // NewRunRule implements agreement.PerRunState.
@@ -31,6 +32,9 @@ type countedRun struct {
 
 func (r countedRun) Release() {
 	r.c.indexed = r.RunRule.(interface{ Indexed() int }).Indexed()
+	if o, ok := r.RunRule.(interface{ Ordered() int }); ok {
+		r.c.ordered = o.Ordered()
+	}
 	r.RunRule.Release()
 }
 
@@ -60,22 +64,33 @@ func (a *retirements) CompactTo(w int) {
 	a.Adversary.(agreement.WindowedAdversary).CompactTo(w)
 }
 
-// indexedPerTrial runs trials seeds of spec with a counting rule and
-// returns, per trial, the blocks the shared index ingested and the
+// trialCounts is what one counted trial's shared index did, beside the
 // memory's final length.
-func indexedPerTrial(t *testing.T, spec Spec, trials int) (indexed, appended []int) {
+type trialCounts struct {
+	indexed, ordered, appended int
+}
+
+// countPerTrial runs trials seeds of spec with a counting rule and
+// returns each trial's counts.
+func countPerTrial(t *testing.T, spec Spec, trials int) []trialCounts {
 	t.Helper()
 	b := MustBind(spec)
+	var out []trialCounts
 	for seed := uint64(1); seed <= uint64(trials); seed++ {
 		rule := &countingRule{HonestRule: b.Rule()}
 		res := agreement.MustRun(b.randomizedConfig(seed, nil), rule, b.NewAdversary())
 		if !res.Verdict.Termination {
 			t.Fatalf("seed %d: the run did not terminate", seed)
 		}
-		indexed, appended = append(indexed, rule.indexed), append(appended, res.Mem.Len())
+		out = append(out, trialCounts{rule.indexed, rule.ordered, res.Mem.Len()})
 	}
-	return indexed, appended
+	return out
 }
+
+// dagPrivate is the dag-private benchmark spec (E8's regime: a
+// pivot-extending private chain).
+var dagPrivate = Spec{Protocol: Dag, N: 32, T: 10, Lambda: 1, K: 81, Confirm: 4,
+	Pivot: PivotGhost, Attack: AttackPrivateChain}
 
 // TestChainForkIndexesEachBlockOnce pins the chain's shared index on the
 // chain-fork benchmark spec (Theorem 5.3's regime: adversarial tie-breaks
@@ -85,10 +100,9 @@ func indexedPerTrial(t *testing.T, spec Spec, trials int) (indexed, appended []i
 func TestChainForkIndexesEachBlockOnce(t *testing.T) {
 	spec := Spec{Protocol: Chain, N: 32, T: 11, Lambda: 0.5, K: 41,
 		TieBreak: TieAdversarial, Attack: AttackFork}
-	indexed, appended := indexedPerTrial(t, spec, 20)
-	for i := range indexed {
-		if indexed[i] != appended[i] {
-			t.Fatalf("trial %d: the chain index ingested %d blocks for a %d-block memory", i, indexed[i], appended[i])
+	for i, c := range countPerTrial(t, spec, 20) {
+		if c.indexed != c.appended {
+			t.Fatalf("trial %d: the chain index ingested %d blocks for a %d-block memory", i, c.indexed, c.appended)
 		}
 	}
 }
@@ -101,19 +115,39 @@ func TestChainForkIndexesEachBlockOnce(t *testing.T) {
 // parents the decision memoized, so no prefix build happens and the
 // trial's ingests stay within its memory's length.
 func TestDagPrivateIndexBound(t *testing.T) {
-	spec := Spec{Protocol: Dag, N: 32, T: 10, Lambda: 1, K: 81, Confirm: 4,
-		Pivot: PivotGhost, Attack: AttackPrivateChain}
-	indexed, appended := indexedPerTrial(t, spec, 20)
+	counts := countPerTrial(t, dagPrivate, 20)
 	sumIdx, sumApp := 0, 0
-	for i := range indexed {
-		sumIdx += indexed[i]
-		sumApp += appended[i]
-		if indexed[i] > appended[i] {
-			t.Fatalf("trial %d: the DAG indexes ingested %d blocks for a %d-block memory", i, indexed[i], appended[i])
+	for i, c := range counts {
+		sumIdx += c.indexed
+		sumApp += c.appended
+		if c.indexed > c.appended {
+			t.Fatalf("trial %d: the DAG indexes ingested %d blocks for a %d-block memory", i, c.indexed, c.appended)
 		}
 	}
 	t.Logf("dag-private: %d blocks ingested for %d appended over %d trials (%.2f per block)",
-		sumIdx, sumApp, len(indexed), float64(sumIdx)/float64(sumApp))
+		sumIdx, sumApp, len(counts), float64(sumIdx)/float64(sumApp))
+}
+
+// TestDagPrivateOrderBound bounds the DAG's ordering work on the
+// dag-private spec. Each decision size orders the first k+confirm values
+// along the GHOST pivot, and the index re-orders only the epochs after
+// the pivot prefix it shares with the previous decision's, so a trial
+// places at most as many ids as its memory holds blocks (0.81 per block
+// over these seeds, 0.87 at most). Ordering every size from scratch
+// placed about 21 per block.
+func TestDagPrivateOrderBound(t *testing.T) {
+	counts := countPerTrial(t, dagPrivate, 20)
+	sumOrd, sumApp, worst := 0, 0, 0.0
+	for i, c := range counts {
+		sumOrd += c.ordered
+		sumApp += c.appended
+		worst = max(worst, float64(c.ordered)/float64(c.appended))
+		if c.ordered > c.appended {
+			t.Fatalf("trial %d: the DAG indexes ordered %d ids for a %d-block memory", i, c.ordered, c.appended)
+		}
+	}
+	t.Logf("dag-private: %d ids ordered for %d appended over %d trials (%.2f per block, at most %.2f in a trial)",
+		sumOrd, sumApp, len(counts), float64(sumOrd)/float64(sumApp), worst)
 }
 
 // TestLongHorizonIndexesEachBlockOnce pins the windowed chain's shared
