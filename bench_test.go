@@ -493,7 +493,7 @@ func BenchmarkVisibilityFlood_SmallWorld256(b *testing.B) {
 		}
 	}
 	for seed := uint64(0); seed < 8; seed++ {
-		trial(seed) // grow the pooled tracker and the event heap
+		trial(seed) // grow the pooled tracker and the event queue
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,7 +12,7 @@ import (
 // TestVisibilitySteadyStateAllocs pins the per-append cost of the
 // visibility flood: once the arrival bitsets, announce slice, flood
 // records, hop slots (each with its bound event) and the simulator's event
-// heap have grown past the measured window, one append-announce-drain
+// queue have grown past the measured window, one append-announce-drain
 // cycle reuses all of it. Amortized slice growth is kept out of the window
 // by warming up to just past a capacity doubling.
 func TestVisibilitySteadyStateAllocs(t *testing.T) {

@@ -153,6 +153,27 @@ type RandomizedConfig struct {
 }
 
 func (c *RandomizedConfig) fill() error {
+	// Every range check below compares, and comparisons with NaN are
+	// false; an infinite rate or bound becomes a zero or infinite time.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Lambda", c.Lambda},
+		{"Delta", c.Delta},
+		{"StallFor", c.StallFor},
+		{"AsyncDelayMax", c.AsyncDelayMax},
+		{"TopologyDelay.Jitter", c.TopologyDelay.Jitter},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("agreement: %s must be finite, got %v", f.name, f.v)
+		}
+	}
+	for i, r := range c.Rates {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("agreement: Rates[%d] must be finite, got %v", i, r)
+		}
+	}
 	if c.Delta == 0 {
 		c.Delta = 1
 	}
@@ -430,8 +451,8 @@ func RunRandomized(cfg RandomizedConfig, rule HonestRule, adv Adversary) (*Resul
 
 // run is the state of one trial, shared by its event handlers. Runs are
 // pooled (runner.Pool slots survive GC cycles), so trials reuse the event
-// heap, the per-node slice, the authority with its bound grant event, the
-// bound grant callback and each node's bound read event.
+// queue's buckets, the per-node slice, the authority with its bound grant
+// event, the bound grant callback and each node's bound read event.
 type run struct {
 	cfg       RandomizedConfig
 	sim       *sim.Sim

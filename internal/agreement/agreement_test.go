@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -542,6 +543,39 @@ func TestRatesValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := RunRandomized(cfg, countRule{}, Silent{}); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+}
+
+// TestConfigRejectsNonFinite: every real-valued knob is checked for NaN and
+// ±Inf before the range checks, none of which a NaN fails.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*RandomizedConfig, float64)
+	}{
+		{"Lambda", func(c *RandomizedConfig, v float64) { c.Lambda = v }},
+		{"Rates[1]", func(c *RandomizedConfig, v float64) { c.Rates = []float64{1, v, 1} }},
+		{"Delta", func(c *RandomizedConfig, v float64) { c.Delta = v }},
+		{"StallFor", func(c *RandomizedConfig, v float64) { c.StallFor = v; c.StallAtSize = 5 }},
+		{"AsyncDelayMax", func(c *RandomizedConfig, v float64) { c.AsyncDelayMax = v }},
+		{"TopologyDelay.Jitter", func(c *RandomizedConfig, v float64) {
+			c.Topology = topology.Ring(3, 1, 0.5)
+			c.TopologyDelay.Jitter = v
+		}},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := RandomizedConfig{N: 3, Lambda: 1, K: 5}
+			f.set(&cfg, v)
+			_, err := RunRandomized(cfg, countRule{}, Silent{})
+			if err == nil {
+				t.Errorf("%s=%v: config accepted", f.name, v)
+				continue
+			}
+			if want := f.name + " must be finite"; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=%v: error %q does not say %q", f.name, v, err, want)
+			}
 		}
 	}
 }

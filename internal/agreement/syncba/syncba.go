@@ -22,6 +22,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/appendmem"
 	"repro/internal/node"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -130,6 +131,10 @@ type Result struct {
 	FinalView   appendmem.View
 }
 
+// simPool recycles simulators across runs, so a run starts with the event
+// queue's storage already grown; Run resets one before returning it.
+var simPool = runner.NewPool(sim.New)
+
 // Run executes Algorithm 1 (with a possibly truncated round count) against
 // the given adversary and returns the result.
 func Run(cfg Config, adv Adversary) (*Result, error) {
@@ -137,7 +142,7 @@ func Run(cfg Config, adv Adversary) (*Result, error) {
 		return nil, err
 	}
 	root := xrand.New(cfg.Seed, 0x5C7BA)
-	s := sim.New()
+	s := simPool.Get()
 	mem := appendmem.New(cfg.N)
 	clock := access.NewRoundClock(root.Split(), cfg.N, cfg.Delta)
 	roster := node.NewRoster(cfg.N, cfg.T).WithCrashes(cfg.Crashes)
@@ -213,6 +218,8 @@ func Run(cfg Config, adv Adversary) (*Result, error) {
 	s.Run()
 	result.FinalView = mem.Read()
 	result.Duration = s.Now()
+	s.Reset()
+	simPool.Put(s)
 	result.Verdict = node.Evaluate(roster, cfg.Inputs, outcome)
 	return result, nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/appendmem"
 	"repro/internal/msgnet"
 	"repro/internal/node"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -97,6 +98,10 @@ func (h *honestNode) deliver(instance appendmem.NodeID) int64 {
 	return Bottom
 }
 
+// simPool recycles simulators across runs, so a run starts with the event
+// queue's storage already grown; Run resets one before returning it.
+var simPool = runner.NewPool(sim.New)
+
 // Run executes Byzantine agreement via n parallel Dolev–Strong broadcasts
 // and a majority decision.
 func Run(cfg Config) (*Result, error) {
@@ -120,7 +125,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	const roundLen = sim.Time(1.0)
-	s := sim.New()
+	s := simPool.Get()
 	rng := xrand.New(cfg.Seed, 0xD01E)
 	// Delivery within 0.9 of a round so every round-r send arrives before
 	// the round-(r+1) boundary.
@@ -174,6 +179,8 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	s.Run()
+	s.Reset()
+	simPool.Put(s)
 
 	outcome := node.NewOutcome(cfg.N)
 	res := &Result{

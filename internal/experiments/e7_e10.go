@@ -14,13 +14,16 @@ import (
 	"repro/internal/xrand"
 )
 
+// burstSims recycles maxByzGapBurst's simulators across trials.
+var burstSims = runner.NewPool(sim.New)
+
 // maxByzGapBurst simulates the raw Poisson token stream for n nodes (t of
 // them Byzantine) until `grants` grants have been issued and returns the
 // largest number of Byzantine grants that fall inside one correct-silent
 // interval — the length of the private chain Lemma 5.5's adversary can
 // insert.
 func maxByzGapBurst(seed uint64, n, t int, lambda float64, grants int) int {
-	s := sim.New()
+	s := burstSims.Get()
 	rng := xrand.New(seed, 0xE7)
 	maxBurst, burst := 0, 0
 	var authority access.Authority
@@ -40,6 +43,8 @@ func maxByzGapBurst(seed uint64, n, t int, lambda float64, grants int) int {
 	})
 	authority.Start()
 	s.Run()
+	s.Reset()
+	burstSims.Put(s)
 	return maxBurst
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/agreement"
@@ -122,6 +123,9 @@ func Bind(spec Spec) (*Bound, error) {
 	if spec.Crashes < 0 || spec.T+spec.Crashes > spec.N {
 		return nil, fmt.Errorf("scenario: %d crashes do not fit n=%d t=%d", spec.Crashes, spec.N, spec.T)
 	}
+	if err := checkFinite(&spec); err != nil {
+		return nil, err
+	}
 	inputs, err := parseInputs(spec.Inputs, spec.N)
 	if err != nil {
 		return nil, err
@@ -204,6 +208,33 @@ func Bind(spec Spec) (*Bound, error) {
 		return nil, err
 	}
 	return b, nil
+}
+
+// checkFinite rejects NaN and ±Inf in the spec's real-valued parameters.
+// The range checks after it cannot: every comparison with NaN is false, and
+// an infinite rate or bound turns into a zero or infinite simulator time.
+func checkFinite(spec *Spec) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"lambda", spec.Lambda},
+		{"delta", spec.Delta},
+		{"link_delay", spec.LinkDelay},
+		{"link_jitter", spec.LinkJitter},
+		{"stall_for", spec.StallFor},
+		{"async_delay_max", spec.AsyncDelayMax},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s must be finite, got %v", f.name, f.v)
+		}
+	}
+	for i, r := range spec.Rates {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("scenario: rates[%d] must be finite, got %v", i, r)
+		}
+	}
+	return nil
 }
 
 // bindBounded validates the windowed-memory and checkpointing knobs

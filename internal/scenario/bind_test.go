@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -463,6 +464,40 @@ func TestOrderMetricsRejectWindow(t *testing.T) {
 		}
 		if _, err := def.Bind(b); err == nil || !strings.Contains(err.Error(), "window") {
 			t.Errorf("%s: want window rejection, got %v", name, err)
+		}
+	}
+}
+
+// TestBindRejectsNonFinite covers every real-valued parameter with NaN and
+// ±Inf. The range checks compare, and a NaN fails no comparison, so before
+// checkFinite a NaN lambda or delta bound and ran every trial to "ok 0",
+// and an infinite delta panicked a trial on a zero token rate. JSON cannot
+// carry these values, so FuzzParseSpecBind never reaches them.
+func TestBindRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Spec, float64)
+	}{
+		{"lambda", func(s *Spec, v float64) { s.Lambda = v }},
+		{"rates[2]", func(s *Spec, v float64) { s.Rates = []float64{1, 1, v, 1, 1, 1, 1, 1} }},
+		{"delta", func(s *Spec, v float64) { s.Delta = v }},
+		{"link_delay", func(s *Spec, v float64) { s.LinkDelay = v; s.Topology = TopoRing }},
+		{"link_jitter", func(s *Spec, v float64) { s.LinkJitter = v; s.Topology = TopoRing }},
+		{"stall_for", func(s *Spec, v float64) { s.StallFor = v; s.StallAtSize = 5 }},
+		{"async_delay_max", func(s *Spec, v float64) { s.AsyncDelayMax = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			spec := Spec{Protocol: Dag, N: 8, T: 2, Lambda: 1, K: 11}
+			f.set(&spec, v)
+			_, err := Bind(spec)
+			if err == nil {
+				t.Errorf("%s=%v: Bind accepted it", f.name, v)
+				continue
+			}
+			if want := f.name + " must be finite"; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=%v: error %q does not say %q", f.name, v, err, want)
+			}
 		}
 	}
 }

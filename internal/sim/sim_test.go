@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -167,5 +170,49 @@ func TestMonotoneClock(t *testing.T) {
 	s.Run()
 	if !ok {
 		t.Fatal("clock went backwards")
+	}
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestAtNaNPanics pins the rejection of NaN times. A NaN compares false
+// against everything, so it used to pass the past-time check and corrupt
+// the order: scheduling 3, NaN, 1, 2 and 0.5 fired 1, 0.5, 2, 3, NaN.
+func TestAtNaNPanics(t *testing.T) {
+	s := New()
+	var fired []Time
+	for _, at := range []Time{3, 1, 2, 0.5} {
+		s.At(at, func() { fired = append(fired, s.Now()) })
+		if at == 3 {
+			mustPanic(t, "At(NaN)", func() { s.At(Time(math.NaN()), func() {}) })
+		}
+	}
+	mustPanic(t, "After(NaN)", func() { s.After(Time(math.NaN()), func() {}) })
+	s.Run()
+	if !slices.Equal(fired, []Time{0.5, 1, 2, 3}) {
+		t.Fatalf("fired at %v", fired)
+	}
+}
+
+// TestStartAtRejectsNegativeOrNaN: the queue orders times by their bits,
+// which only works for clocks that are never negative.
+func TestStartAtRejectsNegativeOrNaN(t *testing.T) {
+	for _, at := range []Time{-1, Time(math.Inf(-1)), Time(math.NaN())} {
+		mustPanic(t, fmt.Sprintf("StartAt(%v)", at), func() { New().StartAt(at) })
+	}
+	s := New()
+	s.StartAt(Time(math.Copysign(0, -1))) // −0 is zero, not negative
+	s.At(0, func() {})
+	if s.Run() != 1 {
+		t.Fatal("event at zero did not fire after StartAt(−0)")
 	}
 }
