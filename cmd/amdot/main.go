@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"strings"
 
 	"repro/internal/dotviz"
 	"repro/internal/scenario"
@@ -58,13 +59,13 @@ func main() {
 		}
 		name := string(spec.Topology)
 		if *stats {
-			printTopologyStats(g, name)
+			emit(topologyStats(g, name))
 			return
 		}
 		if g.N() > *dotMax {
 			fatal(fmt.Errorf("topology has %d nodes, above the %d-node DOT limit — a Graphviz layout at this scale is unusable; use -stats for a structural summary (or raise -dot-max-nodes)", g.N(), *dotMax))
 		}
-		fmt.Print(dotviz.Topology(g, name))
+		emit(dotviz.Topology(g, name))
 		return
 	}
 
@@ -86,17 +87,18 @@ func main() {
 	}
 	opts := dotviz.Options{IsByzantine: r.Roster.IsByzantine, K: spec.K}
 	if spec.Protocol == scenario.Chain {
-		fmt.Print(dotviz.Chain(r.FinalView, opts))
+		emit(dotviz.Chain(r.FinalView, opts))
 	} else {
-		fmt.Print(dotviz.Dag(r.FinalView, opts))
+		emit(dotviz.Dag(r.FinalView, opts))
 	}
 }
 
-// printTopologyStats summarizes a generated graph without rendering it:
+// topologyStats summarizes a generated graph without rendering it:
 // size, degree spread, a power-of-two degree histogram (the shape that
 // separates rings from scale-free hubs at a glance), and the hop
 // diameter. This is the inspection path for graphs too large for DOT.
-func printTopologyStats(g *topology.Graph, name string) {
+func topologyStats(g *topology.Graph, name string) string {
+	var b strings.Builder
 	n := g.N()
 	minDeg, maxDeg, total := n, 0, 0
 	// Histogram bucket i counts nodes with degree in [2^i, 2^(i+1)).
@@ -112,11 +114,11 @@ func printTopologyStats(g *topology.Graph, name string) {
 		}
 		hist[bits.Len(uint(d))]++
 	}
-	fmt.Printf("topology:     %s\n", name)
-	fmt.Printf("nodes:        %d\n", n)
-	fmt.Printf("links:        %d\n", g.NumEdges())
-	fmt.Printf("degree:       min %d / mean %.2f / max %d\n", minDeg, float64(total)/float64(n), maxDeg)
-	fmt.Printf("degree histogram:\n")
+	fmt.Fprintf(&b, "topology:     %s\n", name)
+	fmt.Fprintf(&b, "nodes:        %d\n", n)
+	fmt.Fprintf(&b, "links:        %d\n", g.NumEdges())
+	fmt.Fprintf(&b, "degree:       min %d / mean %.2f / max %d\n", minDeg, float64(total)/float64(n), maxDeg)
+	fmt.Fprintf(&b, "degree histogram:\n")
 	for i, c := range hist {
 		if c == 0 {
 			continue
@@ -127,15 +129,23 @@ func printTopologyStats(g *topology.Graph, name string) {
 		}
 		hi := 1<<i - 1
 		if lo == hi {
-			fmt.Printf("  %7d       %6d nodes\n", lo, c)
+			fmt.Fprintf(&b, "  %7d       %6d nodes\n", lo, c)
 		} else {
-			fmt.Printf("  %4d-%-4d     %6d nodes\n", lo, hi, c)
+			fmt.Fprintf(&b, "  %4d-%-4d     %6d nodes\n", lo, hi, c)
 		}
 	}
-	fmt.Printf("hop diameter: %d\n", g.HopDiameter())
+	fmt.Fprintf(&b, "hop diameter: %d\n", g.HopDiameter())
+	return b.String()
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "amdot:", err)
 	os.Exit(1)
+}
+
+// emit writes s to stdout; a failed write fails the run.
+func emit(s string) {
+	if _, err := os.Stdout.WriteString(s); err != nil {
+		fatal(err)
+	}
 }

@@ -13,7 +13,7 @@
 // the append memory exposes.
 //
 // The checker explores the full computation graph (finite for protocols
-// with bounded appends) and decides, exactly:
+// with bounded appends) with internal/explore and decides, exactly:
 //
 //   - Valency of every configuration (which decision values are reachable),
 //     giving Lemma 2.2's bivalent initial configurations;
@@ -33,9 +33,14 @@ package bivalence
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"repro/internal/explore"
 )
+
+// MaxNodes bounds the node count of a configuration; the state space is
+// exponential in it, and amcheck accepts n ≤ 6.
+const MaxNodes = 6
 
 // Msg is one appended message in the checker's memory model.
 type Msg struct {
@@ -45,15 +50,16 @@ type Msg struct {
 // Op is a node's next operation.
 type Op struct {
 	Append bool
-	Value  int // appended value, when Append
+	Value  int // appended value, 0 or 1, when Append
 }
 
-// State is a node's local state. Data must canonically encode everything
-// the node remembers; two states with equal fields are THE SAME state.
+// State is a node's local state. Data is the protocol's own encoding of
+// everything the node remembers; two states with equal fields are THE SAME
+// state.
 type State struct {
-	Data     string
+	Data     uint16
 	Decided  bool
-	Decision int
+	Decision uint8
 }
 
 // Protocol is a deterministic consensus protocol in the append memory.
@@ -65,216 +71,123 @@ type Protocol interface {
 	// Next returns the node's next operation. Deterministic in (id, s).
 	Next(id int, s State) Op
 	// OnRead returns the node's state after reading view (the complete
-	// memory, sorted by (author, seq)). Deterministic.
+	// memory, sorted by (author, seq)). Deterministic; view is scratch
+	// space that the checker reuses after the call returns.
 	OnRead(id int, s State, view []Msg) State
 	// OnAppend returns the node's state after its append lands.
 	OnAppend(id int, s State) State
 }
 
-// Config is a configuration: all node states plus the memory content.
-type Config struct {
-	States []State
-	Mem    []Msg // sorted by (author, seq); canonical
+// Register is one author's part of the memory: its Len appended binary
+// values, the k-th (its seq-k message) in bit k of Bits.
+type Register struct {
+	Len, Bits uint16
 }
 
-// Key returns the canonical string identity of the configuration.
-func (c Config) Key() string { return string(appendKey(nil, c)) }
+// Config is a configuration: all node states plus the memory content, one
+// register per author. It is canonical by construction — the memory keeps
+// each author's messages in seq order and no order across authors, exactly
+// the information the append memory exposes — and comparable, so equal
+// values are the same configuration.
+type Config struct {
+	N      int // nodes; entries from N on stay zero: undecided, empty
+	States [MaxNodes]State
+	Regs   [MaxNodes]Register
+}
 
-// appendKey appends c's canonical identity — "[data|decided|decision]" per
-// state, '#', "(author,seq,value)" per message — to buf and returns it.
-// Explore reuses one scratch buffer through it, so checking whether a
-// successor configuration was already visited allocates nothing.
-func appendKey(buf []byte, c Config) []byte {
-	for _, s := range c.States {
-		buf = append(buf, '[')
-		buf = append(buf, s.Data...)
-		buf = append(buf, '|')
-		buf = strconv.AppendBool(buf, s.Decided)
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(s.Decision), 10)
-		buf = append(buf, ']')
-	}
-	buf = append(buf, '#')
-	for _, m := range c.Mem {
-		buf = append(buf, '(')
-		buf = strconv.AppendInt(buf, int64(m.Author), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(m.Seq), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(m.Value), 10)
-		buf = append(buf, ')')
+// View appends c's memory to buf as messages sorted by (author, seq) and
+// returns it.
+func (c Config) View(buf []Msg) []Msg {
+	for a, r := range c.Regs {
+		for k := uint16(0); k < r.Len; k++ {
+			buf = append(buf, Msg{Author: a, Seq: int(k), Value: int(r.Bits >> k & 1)})
+		}
 	}
 	return buf
 }
 
-// Initial returns the initial configuration for the given inputs.
+// Initial returns the initial configuration for the given inputs. It
+// panics for more than MaxNodes inputs.
 func Initial(p Protocol, inputs []int) Config {
-	states := make([]State, len(inputs))
-	for i, in := range inputs {
-		states[i] = p.Init(i, in)
+	if len(inputs) > MaxNodes {
+		panic(fmt.Sprintf("bivalence: %d nodes, above MaxNodes = %d", len(inputs), MaxNodes))
 	}
-	return Config{States: states}
+	c := Config{N: len(inputs)}
+	for i, in := range inputs {
+		c.States[i] = p.Init(i, in)
+	}
+	return c
 }
 
-// Apply performs node's next operation on c and returns the successor.
-// The returned changed flag is false for no-op reads (property (b)).
-func Apply(p Protocol, c Config, node int) (Config, bool) {
+// Apply performs node's next operation on c and returns the successor,
+// which equals c for a no-op read (property (b)). A read passes OnRead a
+// view built in *scratch, which Apply grows as needed so one buffer serves
+// every call.
+func Apply(p Protocol, c Config, node int, scratch *[]Msg) Config {
 	s := c.States[node]
 	if s.Decided {
-		return c, false // decided nodes halt (their steps are no-ops)
+		return c // decided nodes halt (their steps are no-ops)
 	}
 	op := p.Next(node, s)
 	if op.Append {
-		// Mem is kept sorted by (author, seq) and the new message carries
-		// the author's next seq, so its slot is right after the author's
-		// existing block: one scan finds both the seq and the insertion
-		// point, no re-sort needed.
-		seq := 0
-		pos := len(c.Mem)
-		for i, m := range c.Mem {
-			if m.Author == node {
-				seq++
-			} else if m.Author > node {
-				pos = i
-				break
-			}
+		r := &c.Regs[node]
+		if op.Value&^1 != 0 || r.Len == 16 {
+			panic(fmt.Sprintf("bivalence: %s appends %d as message %d of node %d; registers hold 16 binary values",
+				p.Name(), op.Value, r.Len, node))
 		}
-		mem := make([]Msg, len(c.Mem)+1)
-		copy(mem, c.Mem[:pos])
-		mem[pos] = Msg{Author: node, Seq: seq, Value: op.Value}
-		copy(mem[pos+1:], c.Mem[pos:])
-		states := append([]State(nil), c.States...)
-		states[node] = p.OnAppend(node, s)
-		return Config{States: states, Mem: mem}, true
+		r.Bits |= uint16(op.Value) << r.Len
+		r.Len++
+		c.States[node] = p.OnAppend(node, s)
+		return c
 	}
-	ns := p.OnRead(node, s, c.Mem)
-	if ns == s {
-		return c, false
-	}
-	states := append([]State(nil), c.States...)
-	states[node] = ns
-	return Config{States: states, Mem: c.Mem}, true
+	*scratch = c.View((*scratch)[:0])
+	c.States[node] = p.OnRead(node, s, *scratch)
+	return c
 }
 
-// Graph is the fully explored computation graph from one initial
-// configuration.
+// Graph is the explored computation graph from one initial configuration,
+// with the valency of every configuration.
 type Graph struct {
-	p         Protocol
-	n         int
-	configs   []Config
-	index     map[string]int
-	succ      [][]int // succ[i][node] = successor config index
-	valency   []uint8 // bit0: decision 0 reachable; bit1: decision 1
-	truncated bool
-	keyBuf    []byte // scratch for appendKey during exploration
+	*explore.Graph[Config]
+	n       int
+	valency []uint8 // bit0: decision 0 reachable; bit1: decision 1
 }
 
 // Explore builds the computation graph from c0, bounded by maxConfigs.
 // When the bound is hit, Truncated reports true and valencies are lower
 // bounds (a "bivalent" verdict is still sound; "univalent" may not be).
 func Explore(p Protocol, c0 Config, maxConfigs int) *Graph {
-	g := &Graph{p: p, n: len(c0.States), index: make(map[string]int)}
-	add := func(c Config) int {
-		g.keyBuf = appendKey(g.keyBuf[:0], c)
-		if i, ok := g.index[string(g.keyBuf)]; ok { // no-alloc map probe
-			return i
-		}
-		i := len(g.configs)
-		g.index[string(g.keyBuf)] = i
-		g.configs = append(g.configs, c)
-		g.succ = append(g.succ, nil)
-		return i
-	}
-	root := add(c0)
-	queue := []int{root}
-	for len(queue) > 0 {
-		if len(g.configs) > maxConfigs {
-			g.truncated = true
-			break
-		}
-		i := queue[0]
-		queue = queue[1:]
-		if g.succ[i] != nil {
-			continue
-		}
-		succs := make([]int, g.n)
-		for node := 0; node < g.n; node++ {
-			nc, _ := Apply(p, g.configs[i], node)
-			j := add(nc)
-			succs[node] = j
-			if g.succ[j] == nil && j != i {
-				queue = append(queue, j)
-			}
-		}
-		g.succ[i] = succs
-	}
-	// Backward-propagate decision reachability to a fixpoint.
-	g.valency = make([]uint8, len(g.configs))
-	for i, c := range g.configs {
-		for _, s := range c.States {
+	var view []Msg
+	step := func(c Config, node int) Config { return Apply(p, c, node, &view) }
+	g := &Graph{Graph: explore.Explore(c0, c0.N, step, maxConfigs), n: c0.N}
+	g.valency = g.Reach(func(i int) uint8 {
+		var v uint8
+		for _, s := range g.Config(i).States {
 			if s.Decided {
-				g.valency[i] |= 1 << uint(s.Decision)
+				v |= 1 << s.Decision
 			}
 		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range g.configs {
-			if g.succ[i] == nil {
-				continue
-			}
-			for _, j := range g.succ[i] {
-				if v := g.valency[i] | g.valency[j]; v != g.valency[i] {
-					g.valency[i] = v
-					changed = true
-				}
-			}
-		}
-	}
+		return v
+	})
 	return g
 }
-
-// Size returns the number of explored configurations.
-func (g *Graph) Size() int { return len(g.configs) }
-
-// Truncated reports whether exploration hit the configuration bound.
-func (g *Graph) Truncated() bool { return g.truncated }
-
-// Root returns the initial configuration's index (always 0).
-func (g *Graph) Root() int { return 0 }
-
-// Config returns configuration i.
-func (g *Graph) Config(i int) Config { return g.configs[i] }
-
-// Valency returns the set of decision values reachable from configuration
-// i, as a bitmask (bit v set: decision v reachable).
-func (g *Graph) Valency(i int) uint8 { return g.valency[i] }
 
 // Bivalent reports whether both decisions are reachable from i.
 func (g *Graph) Bivalent(i int) bool { return g.valency[i] == 3 }
 
-// Succ returns the successor of configuration i under a step of node
-// (i itself for halted/no-op steps on frontier configs).
-func (g *Graph) Succ(i, node int) int {
-	if g.succ[i] == nil {
-		return i
-	}
-	return g.succ[i][node]
-}
-
 // AgreementViolation scans for a reachable configuration in which two
 // nodes decided different values and returns its index, or -1.
 func (g *Graph) AgreementViolation() int {
-	for i, c := range g.configs {
+	for i := 0; i < g.Size(); i++ {
 		saw := -1
-		for _, s := range c.States {
+		for _, s := range g.Config(i).States {
 			if !s.Decided {
 				continue
 			}
-			if saw >= 0 && saw != s.Decision {
+			if saw >= 0 && saw != int(s.Decision) {
 				return i
 			}
-			saw = s.Decision
+			saw = int(s.Decision)
 		}
 	}
 	return -1
@@ -288,7 +201,7 @@ func (g *Graph) DecisionReached(v int) bool {
 
 // Undecided reports whether no node has decided in configuration i.
 func (g *Graph) Undecided(i int) bool {
-	for _, s := range g.configs[i].States {
+	for _, s := range g.Config(i).States {
 		if s.Decided {
 			return false
 		}
@@ -301,61 +214,7 @@ func (g *Graph) Undecided(i int) bool {
 // step, ending in a bivalent configuration. Returns the path (config
 // indices, starting at i) and ok.
 func (g *Graph) ExtendBivalence(i, p int) ([]int, bool) {
-	return g.extend(i, p, g.Bivalent)
-}
-
-func (g *Graph) extend(i, p int, accept func(int) bool) ([]int, bool) {
-	// BFS items are (cfg, stepped) pairs, encoded as cfg<<1 | stepped and
-	// tracked in flat slices instead of maps — the search touches every
-	// reachable configuration twice at most, so dense indexing beats
-	// per-item map inserts. prev[x] holds the encoded predecessor + 1
-	// (0 = unset, i.e. the start item).
-	n2 := 2 * len(g.configs)
-	seen := make([]bool, n2)
-	prev := make([]int32, n2)
-	start := i << 1
-	queue := make([]int32, 1, 64)
-	queue[0] = int32(start)
-	seen[start] = true
-	for qi := 0; qi < len(queue); qi++ {
-		cur := int(queue[qi])
-		cfg, stepped := cur>>1, cur&1 == 1
-		if stepped && accept(cfg) {
-			// Reconstruct path.
-			var rev []int
-			for at := cur; ; {
-				rev = append(rev, at>>1)
-				if prev[at] == 0 {
-					break
-				}
-				at = int(prev[at]) - 1
-			}
-			path := make([]int, len(rev))
-			for k := range rev {
-				path[k] = rev[len(rev)-1-k]
-			}
-			return path, true
-		}
-		if g.succ[cfg] == nil {
-			continue // truncation frontier: successors unknown
-		}
-		for node := 0; node < g.n; node++ {
-			j := g.Succ(cfg, node)
-			if j == cfg && node != p {
-				continue
-			}
-			next := j << 1
-			if stepped || node == p {
-				next |= 1
-			}
-			if !seen[next] {
-				seen[next] = true
-				prev[next] = int32(cur + 1)
-				queue = append(queue, int32(next))
-			}
-		}
-	}
-	return nil, false
+	return g.Path(i, p, g.Bivalent)
 }
 
 // NonDecidingSchedule constructs a prefix of Theorem 2.1's infinite
@@ -377,7 +236,7 @@ func (g *Graph) NonDecidingSchedule(start, cycles int) ([]int, bool) {
 	trace := []int{cur}
 	for c := 0; c < cycles; c++ {
 		for p := 0; p < g.n; p++ {
-			path, ok := g.extend(cur, p, goal)
+			path, ok := g.Path(cur, p, goal)
 			if !ok {
 				return trace, false
 			}
@@ -389,29 +248,17 @@ func (g *Graph) NonDecidingSchedule(start, cycles int) ([]int, bool) {
 }
 
 // Dot renders the explored computation graph as Graphviz DOT, up to
-// maxConfigs configurations (breadth-first from the root). Valency is
-// colour-coded: bivalent orange, 0-valent blue, 1-valent green, dead
-// (no decision reachable) grey; configurations with a decided node are
-// double-ringed. Self-loop (no-op) edges are omitted for readability.
+// maxConfigs configurations (breadth-first from the root, which is index
+// order: the explorer numbers configurations as its breadth-first search
+// discovers them). Valency is colour-coded: bivalent orange, 0-valent
+// blue, 1-valent green, dead (no decision reachable) grey; configurations
+// with a decided node are double-ringed. Self-loop (no-op) edges are
+// omitted for readability.
 func (g *Graph) Dot(maxConfigs int) string {
 	var b strings.Builder
 	b.WriteString("digraph computation {\n  rankdir=TB;\n  node [shape=box, fontsize=8];\n")
-	include := make(map[int]bool)
-	order := []int{0}
-	include[0] = true
-	for i := 0; i < len(order) && len(order) < maxConfigs; i++ {
-		cur := order[i]
-		if g.succ[cur] == nil {
-			continue
-		}
-		for _, j := range g.succ[cur] {
-			if !include[j] && len(order) < maxConfigs {
-				include[j] = true
-				order = append(order, j)
-			}
-		}
-	}
-	for _, i := range order {
+	limit := max(1, min(maxConfigs, g.Size()))
+	for i := 0; i < limit; i++ {
 		color := "grey"
 		switch g.valency[i] {
 		case 1:
@@ -422,17 +269,16 @@ func (g *Graph) Dot(maxConfigs int) string {
 			color = "orange"
 		}
 		shape := "box"
-		for _, s := range g.configs[i].States {
-			if s.Decided {
-				shape = "doubleoctagon"
-			}
+		if !g.Undecided(i) {
+			shape = "doubleoctagon"
 		}
 		fmt.Fprintf(&b, "  c%d [label=\"#%d\", style=filled, fillcolor=%s, shape=%s];\n", i, i, color, shape)
-		if g.succ[i] == nil {
+		if !g.Expanded(i) {
 			continue
 		}
-		for node, j := range g.succ[i] {
-			if j == i || !include[j] {
+		for node := 0; node < g.n; node++ {
+			j := g.Succ(i, node)
+			if j == i || j >= limit {
 				continue
 			}
 			fmt.Fprintf(&b, "  c%d -> c%d [label=\"%d\", fontsize=7];\n", i, j, node)

@@ -7,62 +7,65 @@ import (
 
 func TestApplyAppendAndSeq(t *testing.T) {
 	p := NewThresholdVote(2, DecideMajority)
+	var view []Msg
 	c := Initial(p, []int{1, 0})
-	c1, changed := Apply(p, c, 0)
-	if !changed {
-		t.Fatal("append reported no change")
+	c1 := Apply(p, c, 0, &view)
+	if c1 == c {
+		t.Fatal("append left the configuration unchanged")
 	}
-	if len(c1.Mem) != 1 || c1.Mem[0] != (Msg{Author: 0, Seq: 0, Value: 1}) {
-		t.Fatalf("mem = %v", c1.Mem)
+	if mem := c1.View(nil); len(mem) != 1 || mem[0] != (Msg{Author: 0, Seq: 0, Value: 1}) {
+		t.Fatalf("mem = %v", mem)
+	}
+	c2 := Apply(p, c1, 1, &view)
+	c2 = Apply(p, c2, 0, &view) // node 0 reads: the memory stays as is
+	want := []Msg{{Author: 0, Seq: 0, Value: 1}, {Author: 1, Seq: 0, Value: 0}}
+	if mem := c2.View(nil); len(mem) != 2 || mem[0] != want[0] || mem[1] != want[1] {
+		t.Fatalf("mem = %v, want %v", mem, want)
 	}
 	// Original config untouched (value semantics).
-	if len(c.Mem) != 0 {
+	if len(c.View(nil)) != 0 {
 		t.Fatal("Apply mutated the input configuration")
 	}
 }
 
 func TestApplyNoOpRead(t *testing.T) {
 	p := NewThresholdVote(2, DecideMajority)
+	var view []Msg
 	c := Initial(p, []int{1, 0})
-	c1, _ := Apply(p, c, 0) // 0 appends
-	c2, _ := Apply(p, c1, 0)
+	c1 := Apply(p, c, 0, &view) // 0 appends
+	c2 := Apply(p, c1, 0, &view)
 	// Node 0 now reads; only its own append is visible (< θ=2): state
 	// unchanged → property (b) self-loop.
-	c3, changed := Apply(p, c2, 0)
-	if changed {
+	if c3 := Apply(p, c2, 0, &view); c3 != c2 {
 		t.Fatal("read below threshold changed the configuration")
-	}
-	if c3.Key() != c2.Key() {
-		t.Fatal("no-op read altered the configuration key")
 	}
 }
 
 func TestDecidedNodesHalt(t *testing.T) {
 	p := NewThresholdVote(1, DecideMajority)
+	var view []Msg
 	c := Initial(p, []int{1, 1})
-	c, _ = Apply(p, c, 0) // append
-	c, _ = Apply(p, c, 0) // read, sees 1 author >= θ=1 → decides
+	c = Apply(p, c, 0, &view) // append
+	c = Apply(p, c, 0, &view) // read, sees 1 author >= θ=1 → decides
 	if !c.States[0].Decided || c.States[0].Decision != 1 {
 		t.Fatalf("state = %+v", c.States[0])
 	}
-	c2, changed := Apply(p, c, 0)
-	if changed || c2.Key() != c.Key() {
+	if c2 := Apply(p, c, 0, &view); c2 != c {
 		t.Fatal("decided node still takes effective steps")
 	}
 }
 
 func TestKeyIgnoresCrossRegisterOrder(t *testing.T) {
 	// Two schedules: node 0 appends then node 1, and vice versa. The
-	// memories must be identical — the append memory cannot order appends
-	// from different nodes.
+	// configurations must be equal — the append memory cannot order
+	// appends from different nodes.
 	p := NewThresholdVote(2, DecideMajority)
+	var view []Msg
 	c0 := Initial(p, []int{1, 0})
-	a, _ := Apply(p, c0, 0)
-	a, _ = Apply(p, a, 1)
-	b, _ := Apply(p, c0, 1)
-	b, _ = Apply(p, b, 0)
-	if a.Key() != b.Key() {
-		t.Fatalf("append order leaked into configuration:\n%s\n%s", a.Key(), b.Key())
+	a := Apply(p, Apply(p, c0, 0, &view), 1, &view)
+	b := Apply(p, Apply(p, c0, 1, &view), 0, &view)
+	if a != b {
+		t.Fatalf("append order leaked into configuration:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -191,13 +194,59 @@ func TestRetryVoteValidityAndDecidability(t *testing.T) {
 }
 
 // The executable Theorem 2.1: every member of the candidate family fails
-// at least one consensus property, for n = 2, 3 and 4, exhaustively.
+// at least one consensus property, for n = 2, 3 and 4, exhaustively. The
+// verdicts and configuration counts are pinned exactly: amcheck and E1
+// print them, so any change to the explorer's deduplication shows here.
+// Below the wait-for-all threshold a member breaks agreement from a
+// bivalent initial configuration; at θ = n it breaks termination.
 func TestTheoremTwoOneOverFamily(t *testing.T) {
-	for _, n := range []int{2, 3, 4} {
-		for _, p := range Family(n) {
-			v := CheckTheorem(p, n, 2000000)
-			if v.OK() {
-				t.Errorf("n=%d: %s solves 1-resilient consensus — impossibility violated", n, v.Protocol)
+	pinned := []struct {
+		n       int
+		configs []int // per Family(n) member, in Family order
+	}{
+		{2, []int{40, 40, 40, 28, 28, 28}},
+		{3, []int{300, 288, 282, 244, 232, 222, 120, 120, 120}},
+		{4, []int{2416, 2176, 2032, 2176, 1936, 1744, 1280, 1248, 1096, 496, 496, 496}},
+	}
+	for _, pin := range pinned {
+		family := Family(pin.n)
+		if len(family) != len(pin.configs) {
+			t.Fatalf("n=%d: %d members, want %d", pin.n, len(family), len(pin.configs))
+		}
+		for i, p := range family {
+			waitAll := p.(*ThresholdVote).Theta == pin.n
+			want := Verdict{
+				Protocol: p.Name(), N: pin.n,
+				Agreement: waitAll, Validity: true, Termination: !waitAll,
+				BivalentInitial: !waitAll, Configs: pin.configs[i],
+			}
+			if v := CheckTheorem(p, pin.n, 2000000); v != want {
+				t.Errorf("n=%d: got %+v\nwant %+v", pin.n, v, want)
+			}
+			if want.OK() {
+				t.Fatalf("n=%d: %s pinned as solving 1-resilient consensus — impossibility violated", pin.n, want.Protocol)
+			}
+		}
+	}
+}
+
+// The retry-vote exploration is infinite; E1b, amcheck -retry and the
+// impossibility example print its truncated size and schedule lengths.
+func TestRetryVotePinnedCounts(t *testing.T) {
+	p := &RetryVote{N: 3}
+	for _, tc := range []struct{ bound, size int }{{30000, 30001}, {300000, 300001}} {
+		g := Explore(p, Initial(p, []int{0, 1, 1}), tc.bound)
+		if g.Size() != tc.size || !g.Truncated() || !g.Bivalent(g.Root()) {
+			t.Errorf("bound %d: size %d truncated %v bivalent root %v, want %d true true",
+				tc.bound, g.Size(), g.Truncated(), g.Bivalent(g.Root()), tc.size)
+		}
+		if tc.bound != 30000 {
+			continue
+		}
+		for _, sc := range []struct{ cycles, length int }{{4, 15}, {5, 19}, {6, 22}} {
+			trace, ok := g.NonDecidingSchedule(g.Root(), sc.cycles)
+			if !ok || len(trace) != sc.length {
+				t.Errorf("%d cycles: ok=%v, %d configurations, want true, %d", sc.cycles, ok, len(trace), sc.length)
 			}
 		}
 	}
@@ -230,13 +279,6 @@ func TestFamilyShapes(t *testing.T) {
 	}
 }
 
-func TestViewString(t *testing.T) {
-	s := ViewString([]Msg{{Author: 1, Seq: 0, Value: 1}, {Author: 0, Seq: 0, Value: 0}})
-	if s != "{0:0 1:1}" {
-		t.Fatalf("ViewString = %q", s)
-	}
-}
-
 func TestExploreTruncation(t *testing.T) {
 	p := NewThresholdVote(3, DecideMajority)
 	g := Explore(p, Initial(p, []int{0, 1, 1}), 5)
@@ -262,5 +304,18 @@ func TestDotExport(t *testing.T) {
 	small := g.Dot(3)
 	if strings.Count(small, "[label=\"#") > 3 {
 		t.Error("dot exceeded maxConfigs")
+	}
+}
+
+// Exploration allocates when its flat arrays and its map grow, never per
+// configuration: the 30,001-configuration retry-vote graph stays within a
+// budget that any per-configuration allocation would exceed thirtyfold.
+func TestExploreAllocBudget(t *testing.T) {
+	p := &RetryVote{N: 3}
+	c0 := Initial(p, []int{0, 1, 1})
+	allocs := testing.AllocsPerRun(3, func() { Explore(p, c0, 30000) })
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Fatalf("exploring retry-vote (n=3, bound 30000) took %.0f allocations, budget 1000", allocs)
 	}
 }

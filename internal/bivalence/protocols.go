@@ -1,11 +1,6 @@
 package bivalence
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // This file defines the candidate protocol family the Theorem 2.1
 // experiment sweeps. Each protocol follows the natural shape of a
@@ -91,31 +86,32 @@ func (t *ThresholdVote) Name() string {
 	return fmt.Sprintf("threshold-vote(θ=%d,%s)", t.Theta, t.Decide.Name)
 }
 
-// State encoding: "A:<input>" before the append, "R:<input>" after.
+// State encoding: bit 0 is the input, bit 1 is set once it is appended.
 // Everything else the node knows is read fresh from the memory, so no
 // more needs to be remembered.
+const thresholdAppended = 2
 
 // Init implements Protocol.
 func (t *ThresholdVote) Init(_, input int) State {
-	return State{Data: fmt.Sprintf("A:%d", input)}
+	return State{Data: uint16(input)}
 }
 
 // Next implements Protocol.
 func (t *ThresholdVote) Next(_ int, s State) Op {
-	if strings.HasPrefix(s.Data, "A:") {
-		return Op{Append: true, Value: int(s.Data[2] - '0')}
+	if s.Data&thresholdAppended == 0 {
+		return Op{Append: true, Value: int(s.Data & 1)}
 	}
 	return Op{}
 }
 
 // OnAppend implements Protocol.
 func (t *ThresholdVote) OnAppend(_ int, s State) State {
-	return State{Data: "R:" + s.Data[2:]}
+	return State{Data: s.Data | thresholdAppended}
 }
 
 // OnRead implements Protocol.
 func (t *ThresholdVote) OnRead(_ int, s State, view []Msg) State {
-	if strings.HasPrefix(s.Data, "A:") {
+	if s.Data&thresholdAppended == 0 {
 		return s // still has to append; reads before that change nothing
 	}
 	// The view is sorted by (author, seq), so distinct authors are the
@@ -130,7 +126,7 @@ func (t *ThresholdVote) OnRead(_ int, s State, view []Msg) State {
 	if distinct < t.Theta {
 		return s
 	}
-	return State{Data: s.Data, Decided: true, Decision: t.Decide.F(view)}
+	return State{Data: s.Data, Decided: true, Decision: uint8(t.Decide.F(view))}
 }
 
 // Family returns the candidate protocols checked in the Theorem 2.1
@@ -144,22 +140,6 @@ func Family(n int) []Protocol {
 		}
 	}
 	return ps
-}
-
-// ViewString renders a view compactly for debugging and reports.
-func ViewString(view []Msg) string {
-	msgs := append([]Msg(nil), view...)
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].Author != msgs[j].Author {
-			return msgs[i].Author < msgs[j].Author
-		}
-		return msgs[i].Seq < msgs[j].Seq
-	})
-	parts := make([]string, len(msgs))
-	for i, m := range msgs {
-		parts[i] = fmt.Sprintf("%d:%d", m.Author, m.Value)
-	}
-	return "{" + strings.Join(parts, " ") + "}"
 }
 
 // RetryVote is the FLP-style adaptive protocol on which the paper's
@@ -179,57 +159,35 @@ type RetryVote struct {
 // Name implements Protocol.
 func (r *RetryVote) Name() string { return fmt.Sprintf("retry-vote(n=%d)", r.N) }
 
-// State encoding: "V:<phase>:<vote>:<a|r>" — a: must append its phase vote,
-// r: appended, reading.
+// State encoding: phase<<2 | vote<<1 | retryAppended, where the
+// retryAppended bit is clear while the node must append its phase vote and
+// set once it reads.
+const retryAppended = 1
 
 // Init implements Protocol.
 func (r *RetryVote) Init(_, input int) State {
-	return retryState(0, input, false)
-}
-
-// retryState renders the canonical "V:<phase>:<vote>:<a|r>" encoding.
-func retryState(phase, vote int, appended bool) State {
-	mode := ":a"
-	if appended {
-		mode = ":r"
-	}
-	return State{Data: "V:" + strconv.Itoa(phase) + ":" + strconv.Itoa(vote) + mode}
-}
-
-func parseRetry(data string) (phase, vote int, appended bool) {
-	// Inverse of retryState; a manual scan, since this runs on every
-	// Next/OnRead/OnAppend of the exploration.
-	i := 2
-	for ; i < len(data) && data[i] != ':'; i++ {
-		phase = phase*10 + int(data[i]-'0')
-	}
-	for i++; i < len(data) && data[i] != ':'; i++ {
-		vote = vote*10 + int(data[i]-'0')
-	}
-	return phase, vote, i+1 < len(data) && data[i+1] == 'r'
+	return State{Data: uint16(input << 1)}
 }
 
 // Next implements Protocol.
 func (r *RetryVote) Next(_ int, s State) Op {
-	_, vote, appended := parseRetry(s.Data)
-	if !appended {
-		return Op{Append: true, Value: vote}
+	if s.Data&retryAppended == 0 {
+		return Op{Append: true, Value: int(s.Data >> 1 & 1)}
 	}
 	return Op{}
 }
 
 // OnAppend implements Protocol.
 func (r *RetryVote) OnAppend(_ int, s State) State {
-	phase, vote, _ := parseRetry(s.Data)
-	return retryState(phase, vote, true)
+	return State{Data: s.Data | retryAppended}
 }
 
 // OnRead implements Protocol.
 func (r *RetryVote) OnRead(_ int, s State, view []Msg) State {
-	phase, _, appended := parseRetry(s.Data)
-	if !appended {
+	if s.Data&retryAppended == 0 {
 		return s
 	}
+	phase := int(s.Data >> 2)
 	// Phase-p votes are the appends with Seq == p.
 	count := [2]int{}
 	total := 0
@@ -243,7 +201,7 @@ func (r *RetryVote) OnRead(_ int, s State, view []Msg) State {
 		return s
 	}
 	if count[0] == total || count[1] == total {
-		d := 0
+		var d uint8
 		if count[1] > 0 {
 			d = 1
 		}
@@ -253,5 +211,5 @@ func (r *RetryVote) OnRead(_ int, s State, view []Msg) State {
 	if count[1] > count[0] {
 		adopt = 1
 	}
-	return retryState(phase+1, adopt, false)
+	return State{Data: uint16((phase+1)<<2 | adopt<<1)}
 }

@@ -11,163 +11,19 @@ package bivalence
 // decided.
 
 // TerminationViolation searches for such an SCC with node v silent.
-// It returns a configuration index inside a violating SCC, or -1.
+// It returns a configuration index inside a violating SCC, or -1; a
+// truncated graph always yields -1 (sound answers only on fully explored
+// graphs).
 func (g *Graph) TerminationViolation(v int) int {
-	if g.truncated {
-		return -1 // sound answers only on fully explored graphs
-	}
-	n := len(g.configs)
-
-	// v-free reachability from the root.
-	reach := make([]bool, n)
-	stack := []int{0}
-	reach[0] = true
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for node := 0; node < g.n; node++ {
-			if node == v {
-				continue
-			}
-			j := g.Succ(i, node)
-			if !reach[j] {
-				reach[j] = true
-				stack = append(stack, j)
-			}
-		}
-	}
-
-	// Tarjan SCC over the v-free edges restricted to reachable configs.
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var tarStack []int
-	counter := 0
-	comps := 0
-
-	type frame struct {
-		node int
-		edge int
-	}
-	for start := 0; start < n; start++ {
-		if !reach[start] || index[start] != -1 {
-			continue
-		}
-		var frames []frame
-		push := func(i int) {
-			index[i] = counter
-			low[i] = counter
-			counter++
-			tarStack = append(tarStack, i)
-			onStack[i] = true
-			frames = append(frames, frame{node: i})
-		}
-		push(start)
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			advanced := false
-			for f.edge < g.n {
-				step := f.edge
-				f.edge++
-				if step == v {
-					continue
-				}
-				j := g.Succ(f.node, step)
-				if !reach[j] {
-					continue
-				}
-				if index[j] == -1 {
-					push(j)
-					advanced = true
-					break
-				}
-				if onStack[j] && index[j] < low[f.node] {
-					low[f.node] = index[j]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// Pop frame.
-			i := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				if low[i] < low[frames[len(frames)-1].node] {
-					low[frames[len(frames)-1].node] = low[i]
-				}
-			}
-			if low[i] == index[i] {
-				for {
-					j := tarStack[len(tarStack)-1]
-					tarStack = tarStack[:len(tarStack)-1]
-					onStack[j] = false
-					comp[j] = comps
-					if j == i {
-						break
-					}
-				}
-				comps++
-			}
-		}
-	}
-
-	// Per SCC: which nodes step internally, and is someone undecided.
-	type sccInfo struct {
-		steps     []bool
-		undecided bool
-		rep       int
-		hasEdge   bool
-	}
-	infos := make([]*sccInfo, comps)
-	for i := 0; i < n; i++ {
-		if !reach[i] || comp[i] == -1 {
-			continue
-		}
-		ci := comp[i]
-		if infos[ci] == nil {
-			infos[ci] = &sccInfo{steps: make([]bool, g.n), rep: i}
-		}
-		info := infos[ci]
-		for _, s := range g.configs[i].States {
-			_ = s
-		}
+	return g.FairCycle(v, func(i int) bool {
+		c := g.Config(i)
 		for w := 0; w < g.n; w++ {
-			if w == v {
-				continue
-			}
-			j := g.Succ(i, w)
-			if reach[j] && comp[j] == ci {
-				info.steps[w] = true
-				info.hasEdge = true
+			if w != v && !c.States[w].Decided {
+				return true
 			}
 		}
-		for w := 0; w < g.n; w++ {
-			if w != v && !g.configs[i].States[w].Decided {
-				info.undecided = true
-			}
-		}
-	}
-	for _, info := range infos {
-		if info == nil || !info.hasEdge || !info.undecided {
-			continue
-		}
-		ok := true
-		for w := 0; w < g.n; w++ {
-			if w != v && !info.steps[w] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return info.rep
-		}
-	}
-	return -1
+		return false
+	})
 }
 
 // Verdict summarizes a full Theorem 2.1 check of one protocol on one node

@@ -13,12 +13,18 @@
 // Theorem 2.1 applies to it while the trivial sticky-bit protocol below is
 // a correct consensus algorithm.
 //
-// The verifier mirrors internal/bivalence's configuration-graph approach:
-// node programs are deterministic (write your input to the bit, read it,
-// decide what you read); only the scheduler chooses interleavings; the
-// whole graph is explored and every property checked on every reachable
-// configuration, including all crash (v-free) variants.
+// The verifier shares internal/bivalence's configuration-graph explorer
+// (internal/explore): node programs are deterministic (write your input to
+// the bit, read it, decide what you read); only the scheduler chooses
+// interleavings; the whole graph is explored and every property checked on
+// every reachable configuration, including all crash (v-free) variants.
 package stickybit
+
+import (
+	"math"
+
+	"repro/internal/explore"
+)
 
 // Bit is a sticky bit: Write succeeds only while the bit is unset; Read
 // returns the retained value. The zero value is an unset bit.
@@ -64,12 +70,12 @@ type nodeState struct {
 }
 
 // config is one configuration of the exhaustive exploration: the bit
-// state plus every node's local state. Value semantics; comparable.
+// state plus every node's local state; nodes beyond the node count stay
+// zero. Value semantics; comparable.
 type config struct {
 	bitSet bool
 	bitVal int
 	nodes  [maxNodes]nodeState
-	n      int
 }
 
 // maxNodes bounds the exhaustive verifier; schedules grow super-
@@ -115,11 +121,15 @@ func Verify(n int) Report {
 	if n < 2 || n > maxNodes {
 		panic("stickybit: Verify supports 2..4 nodes")
 	}
-	rep := Report{N: n, Agreement: true, Validity: true, Termination: true}
+	return verify(n, config.step)
+}
 
+// verify checks the consensus properties of the node programs that step
+// runs, over every input assignment of n nodes.
+func verify(n int, step func(config, int) config) Report {
+	rep := Report{N: n, Agreement: true, Validity: true, Termination: true}
 	for bits := 0; bits < 1<<uint(n); bits++ {
 		var init config
-		init.n = n
 		allSame := true
 		for i := 0; i < n; i++ {
 			init.nodes[i] = nodeState{phase: phaseWrite, input: (bits >> uint(i)) & 1}
@@ -128,72 +138,49 @@ func Verify(n int) Report {
 			}
 		}
 
-		// Explore the full configuration graph (all nodes may step).
-		seen := map[config]bool{init: true}
-		queue := []config{init}
-		for len(queue) > 0 {
-			c := queue[0]
-			queue = queue[1:]
-			rep.Configurations++
+		// The state space is finite, so the graph is never truncated.
+		g := explore.Explore(init, n, step, math.MaxInt)
+		rep.Configurations += g.Size()
 
-			// Agreement and validity on this configuration.
+		// Agreement and validity on every reachable configuration.
+		for c := 0; c < g.Size(); c++ {
+			nodes := g.Config(c).nodes
 			first, have := 0, false
-			for i := 0; i < n; i++ {
-				if c.nodes[i].phase != phaseDone {
+			for _, s := range nodes[:n] {
+				if s.phase != phaseDone {
 					continue
 				}
-				d := c.nodes[i].decision
-				if have && d != first {
+				if have && s.decision != first {
 					rep.Agreement = false
 				}
-				first, have = d, true
-				if allSame && d != init.nodes[0].input {
+				first, have = s.decision, true
+				if allSame && s.decision != init.nodes[0].input {
 					rep.Validity = false
-				}
-			}
-
-			for i := 0; i < n; i++ {
-				next := c.step(i)
-				if next != c && !seen[next] {
-					seen[next] = true
-					queue = append(queue, next)
 				}
 			}
 		}
 
-		// 1-resilient termination: in the v-free subgraph, every maximal
-		// run leaves all nodes != v decided. Because each node's program is
-		// wait-free (write, read, done — never blocked on others), it
-		// suffices to check that from every reachable v-free configuration,
-		// running each node != v to completion decides it; i.e. no node can
-		// be stuck. We verify it directly by exhausting v-free schedules.
+		// 1-resilient termination: no fair v-free computation leaves a
+		// node other than v undecided. Every step of an undecided node
+		// advances its phase (write, read, done — it never waits on
+		// others), so the graph's only cycles are the self-loops of done
+		// nodes. A fair strongly connected set is then one configuration
+		// in which every node other than v self-loops, i.e. is done: the
+		// check finds a violation exactly where a v-free terminal
+		// configuration has an undecided node other than v — never, for
+		// this wait-free program.
 		for v := 0; v < n; v++ {
-			seenV := map[config]bool{init: true}
-			queueV := []config{init}
-			for len(queueV) > 0 {
-				c := queueV[0]
-				queueV = queueV[1:]
-				terminal := true
-				for i := 0; i < n; i++ {
-					if i == v {
-						continue
-					}
-					next := c.step(i)
-					if next != c {
-						terminal = false
-						if !seenV[next] {
-							seenV[next] = true
-							queueV = append(queueV, next)
-						}
+			stuck := func(c int) bool {
+				nodes := g.Config(c).nodes
+				for i, s := range nodes[:n] {
+					if i != v && s.phase != phaseDone {
+						return true
 					}
 				}
-				if terminal {
-					for i := 0; i < n; i++ {
-						if i != v && c.nodes[i].phase != phaseDone {
-							rep.Termination = false
-						}
-					}
-				}
+				return false
+			}
+			if g.FairCycle(v, stuck) >= 0 {
+				rep.Termination = false
 			}
 		}
 	}
